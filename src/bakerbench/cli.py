@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .core import OverflowSignal, PlanePoint, orbit
-from .psh import InsufficientSamples, ProbeSpec, _u_of_point, submean_check
+from .psh import InsufficientSamples, ProbeSpec, submean_check, u_value
 from .render import (
     PaletteSpec,
     SliceSpec,
@@ -55,7 +58,8 @@ def _fmt_complex(c: complex) -> str:
     return f"{c.real!r},{c.imag!r}"
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and for each subcommand its options by destination."""
     ap = argparse.ArgumentParser(
         prog="bakerbench",
         description="Numerical workbench for the skew-product "
@@ -63,89 +67,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    options: dict[str, dict[str, argparse.Action]] = {}
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, help="JSON config file; flags win")
-        p.add_argument("--out", type=Path, help="output path (default stdout)")
-        p.add_argument("--format", choices=["text", "tree"], default="text")
+    def command(name: str, help: str):
+        p = sub.add_parser(name, help=help)
+        actions = options[name] = {}
 
-    p = sub.add_parser("iterate", help="tabulate an orbit")
-    common(p)
-    p.add_argument("--z", type=parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--w", type=parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--steps", type=int, required=True)
+        def add(*flags, **kwargs) -> None:
+            action = p.add_argument(*flags, **kwargs)
+            actions[action.dest] = action
 
-    p = sub.add_parser("verify", help="run a randomized verification suite")
-    common(p)
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=30)
+        add("--config", type=Path, help="JSON config file; flags win")
+        add("--out", type=Path, help="output path (default stdout)")
+        add("--format", choices=["text", "tree"], default="text")
+        return add
 
-    p = sub.add_parser("witness", help="find witness points for h(zeta) = c")
-    common(p)
-    p.add_argument("--target", type=parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--first-branch", type=int, default=3)
+    add = command("iterate", "tabulate an orbit")
+    add("--z", type=parse_complex, required=True, metavar="RE,IM")
+    add("--w", type=parse_complex, required=True, metavar="RE,IM")
+    add("--steps", type=int, required=True)
 
-    p = sub.add_parser("render", help="render a basin slice to PPM/CSV")
-    common(p)
-    p.add_argument("--w-fixed", type=parse_complex, default=complex(4, 0),
-                   metavar="RE,IM")
-    p.add_argument("--xmin", type=float, default=-5.0)
-    p.add_argument("--xmax", type=float, default=5.0)
-    p.add_argument("--ymin", type=float, default=-5.0)
-    p.add_argument("--ymax", type=float, default=5.0)
-    p.add_argument("--width", type=int, default=512)
-    p.add_argument("--height", type=int, default=512)
-    p.add_argument("--budget", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--alpha-threshold", type=float, default=1.0)
-    p.add_argument("--palette", type=Path, help="JSON palette file")
-    p.add_argument("--csv-out", type=Path, help="also dump the grid as CSV")
+    add = command("verify", "run a randomized verification suite")
+    add("--suite", choices=sorted(SUITES), required=True)
+    add("--samples", type=int, default=1000)
+    add("--seed", type=int, default=0)
+    add("--steps", type=int, default=30)
 
-    p = sub.add_parser("psh", help="sub-mean-value probe of u_n on a line")
-    common(p)
-    p.add_argument("--center-z", type=parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--center-w", type=parse_complex, required=True, metavar="RE,IM")
-    p.add_argument("--dir-z", type=parse_complex, default=complex(1, 0),
-                   metavar="RE,IM")
-    p.add_argument("--dir-w", type=parse_complex, default=complex(0, 0),
-                   metavar="RE,IM")
-    p.add_argument("--radius", type=float, default=0.01)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--n", type=int, default=5)
-    return ap
+    add = command("witness", "find witness points for h(zeta) = c")
+    add("--target", type=parse_complex, required=True, metavar="RE,IM")
+    add("--count", type=int, required=True)
+    add("--first-branch", type=int, default=3)
+
+    add = command("render", "render a basin slice to PPM/CSV")
+    add("--w-fixed", type=parse_complex, default=complex(4, 0), metavar="RE,IM")
+    add("--xmin", type=float, default=-5.0)
+    add("--xmax", type=float, default=5.0)
+    add("--ymin", type=float, default=-5.0)
+    add("--ymax", type=float, default=5.0)
+    add("--width", type=int, default=512)
+    add("--height", type=int, default=512)
+    add("--budget", type=int, default=200)
+    add("--workers", type=int, default=1)
+    add("--alpha-threshold", type=float, default=1.0)
+    add("--palette", type=Path, help="JSON palette file")
+    add("--csv-out", type=Path, help="also dump the grid as CSV")
+
+    add = command("psh", "sub-mean-value probe of u_n on a line")
+    add("--center-z", type=parse_complex, required=True, metavar="RE,IM")
+    add("--center-w", type=parse_complex, required=True, metavar="RE,IM")
+    add("--dir-z", type=parse_complex, default=complex(1, 0), metavar="RE,IM")
+    add("--dir-w", type=parse_complex, default=complex(0, 0), metavar="RE,IM")
+    add("--radius", type=float, default=0.01)
+    add("--samples", type=int, default=64)
+    add("--n", type=int, default=5)
+    return ap, options
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Seed parser defaults from --config so explicit flags override them."""
-    if "--config" not in argv:
-        return argv
-    path = Path(argv[argv.index("--config") + 1])
+def _apply_config(options: dict[str, argparse.Action], path: Path) -> None:
+    """Make the entries of a JSON config file the defaults of one
+    subcommand's options, so that explicit flags win.  A value must be a
+    JSON string or number; it is set as a string, which argparse converts
+    with the option's own type."""
     try:
         data = json.loads(path.read_text())
         if not isinstance(data, dict):
             raise ValueError("config root must be an object")
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad config file {path}: {exc}") from None
-    converted = {}
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if isinstance(value, str) and "," in value:
-            converted[dest] = parse_complex(value)
-        elif dest == "out" or dest.endswith("_out") or dest == "palette":
-            converted[dest] = Path(value)
-        else:
-            converted[dest] = value
-    for sub_ap in ap._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        matched = {}
-        for action in sub_ap._actions:  # noqa: SLF001
-            if action.dest in converted:
-                matched[action.dest] = converted[action.dest]
-                action.required = False
-        sub_ap.set_defaults(**matched)
-    return argv
+        if type(value) not in (str, int, float):  # not null, a bool, a list
+            raise UsageError(f"bad config file {path}: {key} is not a string or number")
+        action = options.get(key.replace("-", "_"))
+        if action is not None:
+            action.default = str(value)
+            action.required = False
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -174,15 +169,15 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     rec = orbit(PlanePoint(args.z, args.w), args.steps)
+    u = u_value(np.array([p.z for p in rec.points]), np.array([p.w for p in rec.points]))
     rows = []
-    for n, (p, d) in enumerate(zip(rec.points, rec.margins)):
-        denom = abs(p.w) + abs(p.z)
+    for n, (p, d, u_n) in enumerate(zip(rec.points, rec.margins, u.tolist())):
         rows.append({
             "n": n,
             "re_z": p.z.real, "im_z": p.z.imag,
             "re_w": p.w.real, "im_w": p.w.imag,
             "margin": d.real,
-            "u_n": _u_of_point(p) if denom > 0 else None,
+            "u_n": None if math.isnan(u_n) else u_n,
         })
     header = _header(args, truncated=not rec.completed,
                      overflow_step=rec.overflow_step)
@@ -266,6 +261,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     for name in ("width", "height", "budget", "workers"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name} must be >= 1")
+    if args.xmin > args.xmax or args.ymin > args.ymax:
+        raise UsageError("--xmin and --ymin must not exceed --xmax and --ymax")
     palette = PaletteSpec()
     if args.palette is not None:
         try:
@@ -331,17 +328,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap, options = build_parser()
+    # First pass: only the subcommand and --config, to seed the defaults
+    # of that subcommand before the real parse.
+    pre = argparse.ArgumentParser(prog="bakerbench", add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config", type=Path)
     try:
-        argv = _apply_config(ap, list(argv))
+        first, _ = pre.parse_known_args(argv)
+        if first.config is not None and first.command in options:
+            _apply_config(options[first.command], first.config)
         args = ap.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, InsufficientSamples) as exc:
+    except (UsageError, ValueError, InsufficientSamples) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverFailure, OverflowSignal) as exc:

@@ -4,18 +4,26 @@ The map under study is
 
     F(z, w) = (e^{-(z+w)} + z + w,  e^{-2w} + 2w + 1)
 
-acting on C^2.  All arithmetic is double precision; any evaluation that
-would leave the representable range raises :class:`OverflowSignal` instead
-of letting infinities or NaNs leak into stored state.
+acting on C^2.  All arithmetic is double precision.  ``step``, on arrays
+of states, is the only evaluation of F, and every orbit runs on it; any
+evaluation that would leave the representable range stops the orbit
+instead of letting infinities or NaNs leak into stored state.
 """
 
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Largest real part for which exp() stays inside double range.
 EXP_MAX = 709.0
+
+# Seeds that ``orbits`` iterates together.  It bounds the memory of the
+# kernel's temporaries, whatever the number of seeds.
+ORBIT_CHUNK = 2048
 
 
 class OverflowSignal(Exception):
@@ -33,6 +41,10 @@ class PlanePoint:
         if not (cmath.isfinite(self.z) and cmath.isfinite(self.w)):
             raise ValueError(f"non-finite point ({self.z}, {self.w})")
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z, w) as 1-element complex128 arrays, for the array functions."""
+        return np.array([self.z], np.complex128), np.array([self.w], np.complex128)
+
 
 def safe_exp(c: complex) -> complex:
     """exp(c), raising OverflowSignal instead of overflowing.
@@ -45,34 +57,61 @@ def safe_exp(c: complex) -> complex:
     return cmath.exp(c)
 
 
-def _step(z: complex, w: complex, d: complex) -> tuple[complex, complex, complex]:
-    """F(z, w) together with the image of the margin d = w - z.
+def modulus(c: np.ndarray) -> np.ndarray:
+    """|c| elementwise, rounded as Python's abs(complex) rounds it (np.abs
+    differs from it in the last bit)."""
+    return np.hypot(c.real, c.imag)
+
+
+def step(
+    z: np.ndarray, w: np.ndarray, d: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """F applied to arrays of states (z, w), with the image of the margin
+    d = w - z.  Returns (z1, w1, d1, ok).
 
     The margin is updated as d' = d + 1 + e^{-2w} - e^{-(z+w)}, reusing the
     two exponentials of F, instead of being recovered as w' - z': along L
     both coordinates grow like 2^n while d grows like n, so that subtraction
-    loses about one significant bit of d per step.  Raises OverflowSignal on
-    any non-finite result.
+    loses about one significant bit of d per step.
+
+    ok is False where the step overflowed: an exponent has real part above
+    EXP_MAX, or any result is non-finite.  The images there are meaningless.
     """
-    s = z + w
-    if not cmath.isfinite(s):
-        raise OverflowSignal("z + w overflowed")
-    e_s = safe_exp(-s)
-    e_w = safe_exp(-2 * w)
-    z1 = e_s + s
-    w1 = e_w + 2 * w + 1
-    d1 = d + 1 + e_w - e_s
-    if not (cmath.isfinite(z1) and cmath.isfinite(w1) and cmath.isfinite(d1)):
-        raise OverflowSignal("image of F is non-finite")
-    return z1, w1, d1
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z + w
+        e_s = np.exp(-s)
+        e_w = np.exp(-2 * w)
+        z1 = e_s + s
+        w1 = e_w + 2 * w + 1
+        d1 = d + 1 + e_w - e_s
+        ok = ((-s.real <= EXP_MAX) & (-2 * w.real <= EXP_MAX)
+              & np.isfinite(z1) & np.isfinite(w1) & np.isfinite(d1))
+    return z1, w1, d1, ok
 
 
-def apply_f(p: PlanePoint) -> PlanePoint:
-    """One application of F.  Raises OverflowSignal on any non-finite result."""
-    # The margin is not needed here; with d = 0 its image stays finite
-    # whenever the image of F does.
-    z1, w1, _ = _step(p.z, p.w, 0j)
-    return PlanePoint(z1, w1)
+def orbits(
+    z: np.ndarray, w: np.ndarray, n: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Iterate F from the seeds (z, w) for n steps, ORBIT_CHUNK seeds at a
+    time.
+
+    Yields (k, idx, z_k, w_k, d_k) for k = 0..n and each chunk in turn: the
+    states after k steps of the seeds idx whose orbits are still finite,
+    with their carried margins.  A seed is dropped at the step that
+    overflows; a chunk ends early when none of its seeds is left.
+    """
+    for lo in range(0, z.size, ORBIT_CHUNK):
+        idx = np.arange(lo, min(lo + ORBIT_CHUNK, z.size))
+        zk, wk = z[idx], w[idx]
+        dk = wk - zk
+        yield 0, idx, zk, wk, dk
+        for k in range(1, n + 1):
+            zk, wk, dk, ok = step(zk, wk, dk)
+            if not ok.all():
+                idx, zk, wk, dk = idx[ok], zk[ok], wk[ok], dk[ok]
+                if not idx.size:
+                    break
+            yield k, idx, zk, wk, dk
 
 
 @dataclass(frozen=True)
@@ -82,7 +121,7 @@ class OrbitRecord:
     ``points[0]`` is the seed.  If ``overflow_step`` is k, applying F to
     ``points[k]`` overflowed and ``points`` holds exactly k+1 entries (the
     last finite state); otherwise all ``requested_steps`` steps completed.
-    ``margins[k]`` is w_k - z_k carried through the orbit (see ``_step``);
+    ``margins[k]`` is w_k - z_k carried through the orbit (see ``step``);
     read the margin from here rather than from ``points[k]``.
     """
 
@@ -104,14 +143,17 @@ def orbit(seed: PlanePoint, n: int) -> OrbitRecord:
     """Iterate F up to n times, stopping early on overflow."""
     if n < 0:
         raise ValueError("step count must be >= 0")
-    z, w, d = seed.z, seed.w, seed.w - seed.z
-    pts = [seed]
-    margins = [d]
-    for k in range(n):
-        try:
-            z, w, d = _step(z, w, d)
-        except OverflowSignal:
-            return OrbitRecord(tuple(pts), tuple(margins), n, overflow_step=k)
-        pts.append(PlanePoint(z, w))
-        margins.append(d)
-    return OrbitRecord(tuple(pts), tuple(margins), n)
+    points, margins = [], []
+    for _, _, z, w, d in orbits(*seed.arrays(), n):
+        points.append(PlanePoint(complex(z[0]), complex(w[0])))
+        margins.append(complex(d[0]))
+    overflow_step = len(points) - 1 if len(points) <= n else None
+    return OrbitRecord(tuple(points), tuple(margins), n, overflow_step)
+
+
+def apply_f(p: PlanePoint) -> PlanePoint:
+    """One application of F.  Raises OverflowSignal on any non-finite result."""
+    rec = orbit(p, 1)
+    if not rec.completed:
+        raise OverflowSignal("image of F is non-finite")
+    return rec.last

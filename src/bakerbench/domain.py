@@ -4,7 +4,8 @@ L_alpha = { (z, w) : Re w > Re z + alpha, Re z > 1, Re w > 1 } and
 L = union of L_alpha over alpha > 1.  The checks here verify, on concrete
 double-precision orbits, that L_alpha is forward invariant, that both
 coordinates obey the linear growth bounds, and that the telescoping
-identity for w_n - z_n holds up to rounding.
+identity for w_n - z_n holds up to rounding.  Each check runs on arrays
+of seeds; the functions on one PlanePoint are 1-element calls of them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import OrbitRecord, OverflowSignal, PlanePoint, orbit, safe_exp
+import numpy as np
+
+from .core import OverflowSignal, PlanePoint, modulus, orbit, orbits
 
 # L-membership threshold on Re w - Re z.
 L_THRESHOLD = 1.0
@@ -22,18 +25,18 @@ L_THRESHOLD = 1.0
 MARGIN_STEP = 1.0 - 2.0 * math.exp(-2.0)
 
 
-def in_L_alpha(p: PlanePoint, alpha: float, margin: float | None = None) -> bool:
-    """Strict membership test for the wedge L_alpha (alpha > 0).
+def in_wedge(z: np.ndarray, w: np.ndarray, d: np.ndarray, alpha) -> np.ndarray:
+    """Where the states (z, w) with carried margins d = w - z lie in
+    L_alpha: Re d > alpha, Re z > 1, Re w > 1.  alpha may be per state."""
+    return (d.real > alpha) & (z.real > 1.0) & (w.real > 1.0)
 
-    margin is Re(w - z) where the caller carries it (``OrbitRecord.margins``);
-    by default it is taken from p, which is only accurate while |z| and |w|
-    are not much larger than the margin.
-    """
+
+def in_L_alpha(p: PlanePoint, alpha: float) -> bool:
+    """Strict membership test for the wedge L_alpha (alpha > 0), on the
+    margin of p; along an orbit, test the carried margin with in_wedge."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if margin is None:
-        margin = p.w.real - p.z.real
-    return margin > alpha and p.z.real > 1.0 and p.w.real > 1.0
+    return in_L(p, alpha)
 
 
 def sup_alpha(p: PlanePoint) -> float | None:
@@ -49,8 +52,26 @@ def sup_alpha(p: PlanePoint) -> float | None:
 
 def in_L(p: PlanePoint, threshold: float = L_THRESHOLD) -> bool:
     """Membership in L (threshold 1), or in the looser alpha > 0 variant."""
-    gap = sup_alpha(p)
-    return gap is not None and gap > threshold
+    z, w = p.arrays()
+    return bool(in_wedge(z, w, w - z, threshold)[0])
+
+
+def invariance(
+    z: np.ndarray, w: np.ndarray, alpha: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """L_alpha membership along the orbits of the seeds (z, w), one alpha per
+    seed: per seed, the first step k <= n outside L_alpha (-1 if none), the
+    least margin minus alpha, and the last finite step."""
+    first = np.full(z.shape, -1)
+    min_margin = np.full(z.shape, np.inf)
+    last = np.zeros(z.shape, dtype=int)
+    for k, idx, zk, wk, dk in orbits(z, w, n):
+        a = alpha[idx]
+        min_margin[idx] = np.minimum(min_margin[idx], dk.real - a)
+        outside = idx[~in_wedge(zk, wk, dk, a) & (first[idx] < 0)]
+        first[outside] = k
+        last[idx] = k
+    return first, min_margin, last
 
 
 @dataclass(frozen=True)
@@ -72,21 +93,32 @@ def check_invariance(seed: PlanePoint, alpha: float, n: int) -> InvarianceReport
     """
     if not in_L_alpha(seed, alpha):
         raise ValueError("seed is not in L_alpha")
-    rec = orbit(seed, n)
-    min_margin = math.inf
-    first_violation = None
-    for k, (p, d) in enumerate(zip(rec.points, rec.margins)):
-        min_margin = min(min_margin, d.real - alpha)
-        if first_violation is None and not in_L_alpha(p, alpha, d.real):
-            first_violation = k
+    first, min_margin, last = invariance(*seed.arrays(), np.array([alpha]), n)
     return InvarianceReport(
         seed=seed,
         alpha=alpha,
-        steps_checked=len(rec.points) - 1,
-        all_inside=first_violation is None,
-        first_violation=first_violation,
-        min_margin=min_margin,
+        steps_checked=int(last[0]),
+        all_inside=bool(first[0] < 0),
+        first_violation=int(first[0]) if first[0] >= 0 else None,
+        min_margin=float(min_margin[0]),
     )
+
+
+def growth(
+    z: np.ndarray, w: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least slack of Re w_k > 2 Re w_0 + k/2 and of Re z_k > Re z_0 + k/2
+    over k = 1..n, per seed (inf where no step is finite), and the last
+    finite step."""
+    min_w = np.full(z.shape, np.inf)
+    min_z = np.full(z.shape, np.inf)
+    last = np.zeros(z.shape, dtype=int)
+    for k, idx, zk, wk, _ in orbits(z, w, n):
+        if k:
+            min_w[idx] = np.minimum(min_w[idx], wk.real - 2.0 * w.real[idx] - k / 2.0)
+            min_z[idx] = np.minimum(min_z[idx], zk.real - z.real[idx] - k / 2.0)
+        last[idx] = k
+    return min_w, min_z, last
 
 
 @dataclass(frozen=True)
@@ -103,44 +135,50 @@ def check_growth(seed: PlanePoint, n: int) -> GrowthReport:
     """Verify Re w_k > 2 Re w_0 + k/2 and Re z_k > Re z_0 + k/2 for k <= n."""
     if not in_L(seed):
         raise ValueError("seed is not in L")
-    rec = orbit(seed, n)
-    min_w = math.inf
-    min_z = math.inf
-    for k in range(1, len(rec.points)):
-        p = rec.points[k]
-        min_w = min(min_w, p.w.real - 2.0 * seed.w.real - k / 2.0)
-        min_z = min(min_z, p.z.real - seed.z.real - k / 2.0)
+    min_w, min_z, last = growth(*seed.arrays(), n)
     return GrowthReport(
         seed=seed,
-        steps_checked=len(rec.points) - 1,
-        w_bound_ok=min_w > 0,
-        z_bound_ok=min_z > 0,
-        min_w_slack=min_w,
-        min_z_slack=min_z,
+        steps_checked=int(last[0]),
+        w_bound_ok=bool(min_w[0] > 0),
+        z_bound_ok=bool(min_z[0] > 0),
+        min_w_slack=float(min_w[0]),
+        min_z_slack=float(min_z[0]),
     )
 
 
-def telescoping_residual(seed: PlanePoint, n: int) -> float:
-    """Relative defect of the identity
+def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Relative defect, per seed, of the identity
 
         w_n - z_n = w_0 - z_0 + n + sum_i e^{-2 w_i} - sum_i e^{-(z_i + w_i)}
 
-    over the stored orbit prefix (sums over i = 0..n-1).  The left side is
-    the margin the orbit carries, not w_n - z_n recomputed from the stored
-    coordinates: those grow like 2^n and their difference would cancel.
-    The identity is exact in real arithmetic; the returned value measures
-    the rounding of the double-precision orbit, normalized by
-    max(1, |w_n - z_n|).
+    over the orbit (sums over i = 0..n-1).  The left side is the margin the
+    orbit carries, not w_n - z_n recomputed from the coordinates: those
+    grow like 2^n and their difference would cancel.  The right side sums
+    the exponentials of the states themselves, apart from the margin
+    update, since a sum of the same increments would compare the margin
+    with itself.  The identity is exact in real arithmetic; the returned
+    values measure the rounding of the double-precision orbits, normalized
+    by max(1, |w_n - z_n|).  Raises OverflowSignal if an orbit overflows
+    before step n.
     """
-    rec = orbit(seed, n)
-    if not rec.completed:
-        raise OverflowSignal(f"orbit overflowed at step {rec.overflow_step}")
-    rhs = seed.w - seed.z + n
-    for i in range(n):
-        p = rec.points[i]
-        rhs += safe_exp(-2 * p.w) - safe_exp(-(p.z + p.w))
-    lhs = rec.margins[-1]
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    rhs = w - z + n
+    lhs = np.full(z.shape, np.nan + 0j)
+    for k, idx, zk, wk, dk in orbits(z, w, n):
+        if k < n:
+            # A term may overflow only in an orbit that is about to stop,
+            # and that stop raises below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs[idx] += np.exp(-2 * wk) - np.exp(-(zk + wk))
+        else:
+            lhs[idx] = dk
+    if np.isnan(lhs).any():
+        raise OverflowSignal(f"orbit overflowed before step {n}")
+    return modulus(lhs - rhs) / np.maximum(1.0, modulus(lhs))
+
+
+def telescoping_residual(seed: PlanePoint, n: int) -> float:
+    """telescoping_residuals for one seed."""
+    return float(telescoping_residuals(*seed.arrays(), n)[0])
 
 
 @dataclass(frozen=True)

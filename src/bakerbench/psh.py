@@ -13,23 +13,27 @@ smooth integrands).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import OverflowSignal, PlanePoint, orbit
+import numpy as np
+
+from .core import OverflowSignal, PlanePoint, modulus, orbit, orbits
 
 
 class InsufficientSamples(Exception):
     """Too many circle points overflowed to trust the mean."""
 
 
-def _u_of_point(p: PlanePoint) -> float:
-    denom = abs(p.w) + abs(p.z)
-    if denom == 0.0:
-        raise ValueError("u undefined: |w| + |z| = 0")
-    return -(p.w.real - p.z.real) / denom - 1.0
+def u_value(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """-(Re w - Re z) / (|w| + |z|) - 1 at the states (z, w), NaN where
+    |w| + |z| = 0.  Where |w| + |z| exceeds double range at a finite state,
+    the parts are scaled by 1/4 first, which leaves the quotient unchanged."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.where(np.isfinite(modulus(w) + modulus(z)), 1.0, 0.25)
+        z, w = z * q, w * q
+        return -(w.real - z.real) / (modulus(w) + modulus(z)) - 1.0
 
 
 def u_n(seed: PlanePoint, n: int) -> float:
@@ -37,7 +41,10 @@ def u_n(seed: PlanePoint, n: int) -> float:
     rec = orbit(seed, n)
     if not rec.completed:
         raise OverflowSignal(f"orbit overflowed at step {rec.overflow_step}")
-    return _u_of_point(rec.last)
+    u = float(u_value(*rec.last.arrays())[0])
+    if math.isnan(u):
+        raise ValueError("u undefined: |w| + |z| = 0")
+    return u
 
 
 @dataclass(frozen=True)
@@ -57,11 +64,8 @@ def u_profile(seed: PlanePoint, N: int) -> UProfile:
     if N < 4:
         raise ValueError("profile length must be >= 4")
     rec = orbit(seed, N)
-    values = tuple(
-        (n, _u_of_point(p))
-        for n, p in enumerate(rec.points)
-        if abs(p.w) + abs(p.z) > 0.0
-    )
+    u = u_value(np.array([p.z for p in rec.points]), np.array([p.w for p in rec.points]))
+    values = tuple((n, v) for n, v in enumerate(u.tolist()) if not math.isnan(v))
     tail = math.ceil(N / 4)
     tail_max = max(v for _, v in values[-tail:])
     return UProfile(seed=seed, values=values, tail_max=tail_max,
@@ -85,12 +89,6 @@ class ProbeSpec:
         if self.direction.z == 0 and self.direction.w == 0:
             raise ValueError("direction must be nonzero")
 
-    def at(self, lam: complex) -> PlanePoint:
-        return PlanePoint(
-            self.center.z + lam * self.direction.z,
-            self.center.w + lam * self.direction.w,
-        )
-
 
 @dataclass(frozen=True)
 class SubmeanReport:
@@ -105,39 +103,43 @@ class SubmeanReport:
 def submean_check(
     probe: ProbeSpec,
     n: int,
-    func: Callable[[complex], float] | None = None,
+    func: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SubmeanReport:
     """Circle mean minus center value of lambda -> u_n(a + lambda*b).
 
     A subharmonic function has deficit >= 0 in exact arithmetic; the
-    measured value is reported as-is.  Circle points whose orbit overflows
-    are excluded (and reflected in valid_samples); the probe fails only
-    when fewer than half the samples survive.
+    measured value is reported as-is.  The centre and every circle point
+    are evaluated in one batch of orbits.  Circle points whose orbit
+    overflows are excluded (and reflected in valid_samples); the probe
+    fails only when fewer than half the samples survive.
 
     ``func`` is a test seam: when given, it replaces the dynamics-backed
-    evaluation with an arbitrary scalar function of lambda so the
-    quadrature can be validated against analytic cases on its own.
+    evaluation with an arbitrary function mapping an array of lambda to an
+    array of values, NaN marking an excluded sample, so the quadrature can
+    be validated against analytic cases on its own.
     """
+    theta = 2.0 * math.pi * np.arange(probe.samples) / probe.samples
+    lam = np.concatenate(([0j], probe.radius * np.exp(1j * theta)))
     if func is None:
-        def func(lam: complex) -> float:
-            return u_n(probe.at(lam), n)
-
-    center_value = func(0j)
-    total = 0.0
-    valid = 0
-    for k in range(probe.samples):
-        theta = 2.0 * math.pi * k / probe.samples
-        lam = probe.radius * cmath.exp(1j * theta)
-        try:
-            total += func(lam)
-        except OverflowSignal:
-            continue
-        valid += 1
+        # u_n on the line; NaN where the orbit overflows before step n
+        values = np.full(lam.shape, np.nan)
+        for k, idx, z, w, _ in orbits(probe.center.z + lam * probe.direction.z,
+                                      probe.center.w + lam * probe.direction.w, n):
+            if k == n:
+                values[idx] = u_value(z, w)
+    else:
+        values = np.asarray(func(lam), dtype=np.float64)
+    center_value = float(values[0])
+    if math.isnan(center_value):
+        raise OverflowSignal(f"no u_{n} at the centre: its orbit overflows "
+                             "or |w_n| + |z_n| = 0")
+    circle = values[1:][~np.isnan(values[1:])]
+    valid = circle.size
     if valid < probe.samples / 2:
         raise InsufficientSamples(
             f"only {valid} of {probe.samples} circle points usable"
         )
-    mean = total / valid
+    mean = float(circle.sum() / valid)
     return SubmeanReport(
         probe=probe,
         n=n,

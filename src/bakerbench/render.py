@@ -3,9 +3,11 @@
 Each pixel seeds an orbit and is classified by the first step at which it
 lands in the wedge L (approximating the absorbing basin as the union of
 preimages of L under a finite iteration budget), by overflow, or as
-undetermined within the budget.  The per-pixel computation is pure and
-vectorized; rows are partitioned across workers into disjoint output
-segments, so grids and emitted bytes are identical for any worker count.
+undetermined within the budget.  The classifier iterates ``core.step``
+over a compacted active set and tests ``domain.in_wedge`` on the carried
+margin.  The slice is cut into chunks of interleaved whole rows,
+classified independently by a pool of workers into disjoint output rows,
+so grids and emitted bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,27 +18,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EXP_MAX, PlanePoint
-from .domain import L_THRESHOLD
-
-TAG_ENTERED = "entered"
-TAG_OVERFLOWED = "overflowed"
-TAG_NOT_ENTERED = "not_entered"
+from .core import PlanePoint, step
+from .domain import L_THRESHOLD, in_wedge
 
 _CODE_NOT_ENTERED = 0
 _CODE_ENTERED = 1
 _CODE_OVERFLOWED = 2
 _CODE_TO_TAG = {
-    _CODE_NOT_ENTERED: TAG_NOT_ENTERED,
-    _CODE_ENTERED: TAG_ENTERED,
-    _CODE_OVERFLOWED: TAG_OVERFLOWED,
+    _CODE_NOT_ENTERED: "not_entered",
+    _CODE_ENTERED: "entered",
+    _CODE_OVERFLOWED: "overflowed",
 }
+
+# Pixels per chunk of work, rounded down to whole rows.  It bounds the
+# memory of the classifier's temporaries, whatever the image size.
+CHUNK_PIXELS = 1 << 16
 
 
 @dataclass(frozen=True)
 class PixelClass:
     tag: str
     step: int | None = None
+
+
+def _pixel_class(code: int, step: int) -> PixelClass:
+    return PixelClass(_CODE_TO_TAG[code], step if code != _CODE_NOT_ENTERED else None)
 
 
 @dataclass(frozen=True)
@@ -60,60 +66,62 @@ class SliceSpec:
         if self.dir_v.z == 0 and self.dir_v.w == 0:
             raise ValueError("dir_v must be nonzero")
 
-    def param(self, i: int, j: int) -> tuple[float, float]:
+    def pixel_center(self, i: int, j: int) -> PlanePoint:
         u0, u1 = self.u_range
         v0, v1 = self.v_range
         u = u0 + (i + 0.5) * (u1 - u0) / self.width
         v = v0 + (j + 0.5) * (v1 - v0) / self.height
-        return u, v
-
-    def pixel_center(self, i: int, j: int) -> PlanePoint:
-        u, v = self.param(i, j)
         return PlanePoint(
             self.base.z + u * self.dir_u.z + v * self.dir_v.z,
             self.base.w + u * self.dir_u.w + v * self.dir_v.w,
         )
 
 
-def _classify_arrays(
+def _row_chunks(spec: SliceSpec) -> list[np.ndarray]:
+    """Rows of the chunks of the slice.  Chunk c of n takes every n-th row
+    from row c, so each chunk samples the whole slice and the chunks take
+    about the same time; contiguous bands of rows can differ in cost by 2x
+    and leave one worker classifying alone at the end."""
+    n = -(-spec.height // max(1, CHUNK_PIXELS // spec.width))
+    return [np.arange(c, spec.height, n) for c in range(n)]
+
+
+def _pixel_grid(spec: SliceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (z, w) of the pixels in the given rows, as (len(rows), width)
+    arrays, by the formula of SliceSpec.pixel_center."""
+    u0, u1 = spec.u_range
+    v0, v1 = spec.v_range
+    u = u0 + (np.arange(spec.width) + 0.5) * (u1 - u0) / spec.width
+    v = v0 + (rows[:, None] + 0.5) * (v1 - v0) / spec.height
+    z = spec.base.z + u * spec.dir_u.z + v * spec.dir_v.z
+    w = spec.base.w + u * spec.dir_u.w + v * spec.dir_v.w
+    return z.astype(np.complex128), w.astype(np.complex128)
+
+
+def _classify(
     z: np.ndarray, w: np.ndarray, budget: int, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized classifier over flat complex arrays.
-
-    Returns (codes, steps); steps is -1 where no step applies.
-    """
-    codes = np.zeros(z.shape, dtype=np.uint8)
+    """classify_point on flat arrays of seeds, as (codes, steps) with steps
+    -1 where none applies.  Only undecided seeds are iterated: idx holds
+    their positions and (z, w, d) their states."""
+    codes = np.full(z.shape, _CODE_NOT_ENTERED, dtype=np.uint8)
     steps = np.full(z.shape, -1, dtype=np.int32)
-    active = np.ones(z.shape, dtype=bool)
+    idx = np.arange(z.size)
+    d = w - z
     for k in range(budget + 1):
-        zr = z.real
-        wr = w.real
-        inside = active & (zr > 1.0) & (wr > 1.0) & (wr - zr > threshold)
-        codes[inside] = _CODE_ENTERED
-        steps[inside] = k
-        active &= ~inside
-        if k == budget or not active.any():
+        inside = in_wedge(z, w, d, threshold)
+        if inside.any():
+            codes[idx[inside]] = _CODE_ENTERED
+            steps[idx[inside]] = k
+            out = ~inside
+            idx, z, w, d = idx[out], z[out], w[out], d[out]
+        if k == budget or not idx.size:
             break
-        az = z[active]
-        aw = w[active]
-        s = az + aw
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            z1 = np.exp(-s) + s
-            w1 = np.exp(-2 * aw) + 2 * aw + 1
-        bad = (
-            ((-s).real > EXP_MAX)
-            | ((-2 * aw).real > EXP_MAX)
-            | ~np.isfinite(z1)
-            | ~np.isfinite(w1)
-        )
-        idx = np.flatnonzero(active)
-        over_idx = idx[bad]
-        codes[over_idx] = _CODE_OVERFLOWED
-        steps[over_idx] = k
-        active[over_idx] = False
-        keep = idx[~bad]
-        z[keep] = z1[~bad]
-        w[keep] = w1[~bad]
+        z, w, d, ok = step(z, w, d)
+        if not ok.all():
+            codes[idx[~ok]] = _CODE_OVERFLOWED
+            steps[idx[~ok]] = k
+            idx, z, w, d = idx[ok], z[ok], w[ok], d[ok]
     return codes, steps
 
 
@@ -125,12 +133,8 @@ def classify_point(
     was the last finite one."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    z = np.array([p.z], dtype=np.complex128)
-    w = np.array([p.w], dtype=np.complex128)
-    codes, steps = _classify_arrays(z, w, budget, threshold)
-    code = int(codes[0])
-    step = int(steps[0])
-    return PixelClass(_CODE_TO_TAG[code], step if code != _CODE_NOT_ENTERED else None)
+    codes, steps = _classify(*p.arrays(), budget, threshold)
+    return _pixel_class(int(codes[0]), int(steps[0]))
 
 
 @dataclass(frozen=True)
@@ -142,41 +146,13 @@ class RasterResult:
     steps: np.ndarray = field(repr=False)  # (height, width) int32, -1 = none
 
     def pixel(self, i: int, j: int) -> PixelClass:
-        code = int(self.codes[j, i])
-        step = int(self.steps[j, i])
-        return PixelClass(_CODE_TO_TAG[code],
-                          step if code != _CODE_NOT_ENTERED else None)
-
-    @property
-    def classes(self) -> list[PixelClass]:
-        """Row-major list of per-pixel classifications."""
-        return [
-            self.pixel(i, j)
-            for j in range(self.spec.height)
-            for i in range(self.spec.width)
-        ]
+        return _pixel_class(int(self.codes[j, i]), int(self.steps[j, i]))
 
     @property
     def stats(self) -> dict[str, int]:
-        flat = self.codes.ravel()
-        return {
-            TAG_ENTERED: int(np.count_nonzero(flat == _CODE_ENTERED)),
-            TAG_OVERFLOWED: int(np.count_nonzero(flat == _CODE_OVERFLOWED)),
-            TAG_NOT_ENTERED: int(np.count_nonzero(flat == _CODE_NOT_ENTERED)),
-        }
-
-
-def _pixel_grid(spec: SliceSpec) -> tuple[np.ndarray, np.ndarray]:
-    u0, u1 = spec.u_range
-    v0, v1 = spec.v_range
-    i = np.arange(spec.width, dtype=np.float64)
-    j = np.arange(spec.height, dtype=np.float64)
-    u = u0 + (i + 0.5) * (u1 - u0) / spec.width
-    v = v0 + (j + 0.5) * (v1 - v0) / spec.height
-    uu, vv = np.meshgrid(u, v)  # shape (height, width)
-    z = spec.base.z + uu * spec.dir_u.z + vv * spec.dir_v.z
-    w = spec.base.w + uu * spec.dir_u.w + vv * spec.dir_v.w
-    return z.astype(np.complex128), w.astype(np.complex128)
+        counts = np.bincount(self.codes.ravel(), minlength=len(_CODE_TO_TAG))
+        return {_CODE_TO_TAG[c]: int(counts[c])
+                for c in (_CODE_ENTERED, _CODE_OVERFLOWED, _CODE_NOT_ENTERED)}
 
 
 def render_slice(
@@ -189,28 +165,17 @@ def render_slice(
         raise ValueError("budget must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    z, w = _pixel_grid(spec)
     codes = np.empty((spec.height, spec.width), dtype=np.uint8)
     steps = np.empty((spec.height, spec.width), dtype=np.int32)
 
-    bounds = np.linspace(0, spec.height, min(workers, spec.height) + 1).astype(int)
-    blocks = [(bounds[b], bounds[b + 1]) for b in range(len(bounds) - 1)
-              if bounds[b] < bounds[b + 1]]
+    def run(rows: np.ndarray) -> None:
+        z, w = _pixel_grid(spec, rows)
+        c, s = _classify(z.ravel(), w.ravel(), budget, threshold)
+        codes[rows] = c.reshape(rows.size, spec.width)
+        steps[rows] = s.reshape(rows.size, spec.width)
 
-    def run_block(lo: int, hi: int) -> None:
-        c, s = _classify_arrays(
-            z[lo:hi].ravel().copy(), w[lo:hi].ravel().copy(), budget, threshold
-        )
-        codes[lo:hi] = c.reshape(hi - lo, spec.width)
-        steps[lo:hi] = s.reshape(hi - lo, spec.width)
-
-    if len(blocks) == 1:
-        run_block(*blocks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            futures = [pool.submit(run_block, lo, hi) for lo, hi in blocks]
-            for f in futures:
-                f.result()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, _row_chunks(spec)))
     return RasterResult(spec=spec, budget=budget, threshold=threshold,
                         codes=codes, steps=steps)
 
@@ -254,13 +219,6 @@ class PaletteSpec:
             )
         return cls(**kwargs)
 
-    def color(self, pc: PixelClass) -> tuple[int, int, int]:
-        if pc.tag == TAG_NOT_ENTERED:
-            return self.not_entered
-        if pc.tag == TAG_ENTERED:
-            return self.entered_cycle[pc.step % len(self.entered_cycle)]
-        return self.overflowed_cycle[pc.step % len(self.overflowed_cycle)]
-
 
 def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     """Binary P6 pixmap, row-major top-to-bottom, byte-exact for fixed input."""
@@ -278,15 +236,19 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
 
 def write_grid_csv(r: RasterResult) -> bytes:
     """CSV dump: i,j,re_z,im_z,re_w,im_w,tag,step (step empty if none)."""
-    out = io.StringIO()
-    out.write("i,j,re_z,im_z,re_w,im_w,tag,step\n")
-    for j in range(r.spec.height):
-        for i in range(r.spec.width):
-            p = r.spec.pixel_center(i, j)
-            pc = r.pixel(i, j)
-            step = "" if pc.step is None else str(pc.step)
-            out.write(
-                f"{i},{j},{p.z.real!r},{p.z.imag!r},"
-                f"{p.w.real!r},{p.w.imag!r},{pc.tag},{step}\n"
-            )
-    return out.getvalue().encode("ascii")
+    out = io.BytesIO()
+    out.write(b"i,j,re_z,im_z,re_w,im_w,tag,step\n")
+    columns = range(r.spec.width)
+    block = max(1, CHUNK_PIXELS // r.spec.width)
+    for lo in range(0, r.spec.height, block):
+        z, w = _pixel_grid(r.spec, np.arange(lo, min(lo + block, r.spec.height)))
+        for j in range(lo, lo + len(z)):
+            zj, wj = z[j - lo], w[j - lo]
+            out.write("".join(
+                f"{i},{j},{a!r},{b!r},{c!r},{e!r},{_CODE_TO_TAG[code]},"
+                f"{'' if code == _CODE_NOT_ENTERED else s}\n"
+                for i, a, b, c, e, code, s in zip(
+                    columns, zj.real.tolist(), zj.imag.tolist(), wj.real.tolist(),
+                    wj.imag.tolist(), r.codes[j].tolist(), r.steps[j].tolist())
+            ).encode("ascii"))
+    return out.getvalue()

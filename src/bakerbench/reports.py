@@ -47,10 +47,6 @@ def kv_line(record: dict[str, Any]) -> str:
     return " ".join(f"{k}={_scalar(v)}" for k, v in record.items())
 
 
-def kv_lines(records: list[dict[str, Any]]) -> str:
-    return "\n".join(kv_line(r) for r in records) + "\n"
-
-
 def tree_doc(payload: Any) -> str:
     """Machine-readable tree rendering (JSON, stable key order preserved)."""
     return json.dumps(to_jsonable(payload), indent=2) + "\n"

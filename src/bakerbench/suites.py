@@ -1,8 +1,9 @@
 """Randomized verification suites over the wedge claims.
 
-Each suite draws reproducible samples from numpy's PCG64 generator and
-checks one family of orbit inequalities, returning a summary that the CLI
-and the acceptance tests consume directly.
+Each suite draws reproducible samples from numpy's PCG64 generator into
+arrays, iterates all of them at once and checks one family of orbit
+inequalities, returning a summary that the CLI and the acceptance tests
+consume directly.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OverflowSignal, PlanePoint, orbit
-from .domain import check_growth, check_invariance, telescoping_residual
-from .psh import _u_of_point
+from .core import modulus, orbits
+from .domain import L_THRESHOLD, growth, in_wedge, invariance, telescoping_residuals
+from .psh import u_value
 
 GENERATOR_NAME = "PCG64"
 
@@ -35,111 +36,85 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _sample_wedge_seed(rng: np.random.Generator) -> tuple[PlanePoint, float]:
-    """A seed in L_alpha: alpha in (0,10], Re z in (1,50],
-    Re w - Re z - alpha in (0,50], imaginary parts in [-100,100]."""
-    alpha = rng.uniform(0.0, 10.0)
-    rez = rng.uniform(1.0, 50.0)
-    rew = rez + alpha + rng.uniform(0.0, 50.0)
-    imz = rng.uniform(-100.0, 100.0)
-    imw = rng.uniform(-100.0, 100.0)
-    return PlanePoint(complex(rez, imz), complex(rew, imw)), alpha
+def _sample_wedge_seeds(
+    rng: np.random.Generator, samples: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seeds (z, w) in L_alpha and their alpha: alpha in (0,10], Re z in
+    (1,50], Re w - Re z - alpha in (0,50], imaginary parts in [-100,100]."""
+    alpha, rez, gap, imz, imw = rng.uniform(
+        (0.0, 1.0, 0.0, -100.0, -100.0), (10.0, 50.0, 50.0, 100.0, 100.0),
+        size=(samples, 5)).T
+    return rez + 1j * imz, rez + alpha + gap + 1j * imw, alpha
 
 
 def invariance_suite(samples: int, seed: int, steps: int) -> SuiteResult:
-    rng = _rng(seed)
-    violations = 0
-    worst = np.inf
-    for _ in range(samples):
-        p, alpha = _sample_wedge_seed(rng)
-        rep = check_invariance(p, alpha, steps)
-        if not rep.all_inside:
-            violations += 1
-        worst = min(worst, rep.min_margin)
+    z, w, alpha = _sample_wedge_seeds(_rng(seed), samples)
+    first_violation, min_margin, _ = invariance(z, w, alpha, steps)
+    violations = int(np.count_nonzero(first_violation >= 0))
     return SuiteResult(
         suite="invariance", samples=samples, steps=steps, seed=seed,
-        violations=violations, worst=float(worst), worst_label="min_margin",
-        passed=violations == 0,
+        violations=violations, worst=float(min_margin.min(initial=np.inf)),
+        worst_label="min_margin", passed=violations == 0,
     )
 
 
 def growth_suite(samples: int, seed: int, steps: int) -> SuiteResult:
-    rng = _rng(seed)
-    violations = 0
-    worst = np.inf
-    for _ in range(samples):
-        p, _ = _sample_wedge_seed(rng)
-        if p.w.real - p.z.real <= 1.0:
-            continue  # growth bounds are stated on L proper
-        rep = check_growth(p, steps)
-        if not (rep.w_bound_ok and rep.z_bound_ok):
-            violations += 1
-        worst = min(worst, rep.min_w_slack, rep.min_z_slack)
+    z, w, _ = _sample_wedge_seeds(_rng(seed), samples)
+    proper = in_wedge(z, w, w - z, L_THRESHOLD)  # growth bounds are stated on L proper
+    min_w, min_z, _ = growth(z[proper], w[proper], steps)
+    violations = int(np.count_nonzero(~((min_w > 0) & (min_z > 0))))
     return SuiteResult(
         suite="growth", samples=samples, steps=steps, seed=seed,
-        violations=violations, worst=float(worst), worst_label="min_slack",
-        passed=violations == 0,
+        violations=violations,
+        worst=float(np.minimum(min_w, min_z).min(initial=np.inf)),
+        worst_label="min_slack", passed=violations == 0,
     )
 
 
 TELESCOPING_TOL = 1e-9
 
 
-def telescoping_seeds(samples: int, seed: int) -> list[PlanePoint]:
-    """The seeds telescoping_suite draws: points of L with |z|, |w| <= 50."""
+def telescoping_seeds(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeds (z, w) telescoping_suite draws: points of L with
+    |z|, |w| <= 50, kept in the order drawn."""
     rng = _rng(seed)
-    seeds = []
-    while len(seeds) < samples:
-        rez = rng.uniform(1.0, 30.0)
-        imz = rng.uniform(-40.0, 40.0)
-        rew = rez + 1.0 + rng.uniform(0.0, 15.0)
-        imw = rng.uniform(-40.0, 40.0)
-        z = complex(rez, imz)
-        w = complex(rew, imw)
-        if abs(z) > 50 or abs(w) > 50:
-            continue
-        seeds.append(PlanePoint(z, w))
-    return seeds
+    z = w = np.empty(0, np.complex128)
+    while z.size < samples:
+        rez, imz, gap, imw = rng.uniform(
+            (1.0, -40.0, 0.0, -40.0), (30.0, 40.0, 15.0, 40.0), size=(samples, 4)).T
+        cz = rez + 1j * imz
+        cw = rez + 1.0 + gap + 1j * imw
+        keep = (modulus(cz) <= 50) & (modulus(cw) <= 50)
+        z, w = np.concatenate((z, cz[keep])), np.concatenate((w, cw[keep]))
+    return z[:samples], w[:samples]
 
 
 def telescoping_suite(samples: int, seed: int, steps: int,
                       tol: float = TELESCOPING_TOL) -> SuiteResult:
     """Seeds from telescoping_seeds; residual must stay below tol."""
-    violations = 0
-    worst = 0.0
-    for p in telescoping_seeds(samples, seed):
-        res = telescoping_residual(p, steps)
-        worst = max(worst, res)
-        if res > tol:
-            violations += 1
+    residuals = telescoping_residuals(*telescoping_seeds(samples, seed), steps)
+    violations = int(np.count_nonzero(residuals > tol))
     return SuiteResult(
         suite="telescoping", samples=samples, steps=steps, seed=seed,
-        violations=violations, worst=worst, worst_label="max_residual",
-        passed=violations == 0, notes={"tolerance": tol},
+        violations=violations, worst=float(residuals.max(initial=0.0)),
+        worst_label="max_residual", passed=violations == 0,
+        notes={"tolerance": tol},
     )
 
 
 def psh_range_suite(samples: int, seed: int, steps: int) -> SuiteResult:
     """u_n stays in [-2, 0] for arbitrary seeds, up to orbit overflow."""
-    rng = _rng(seed)
+    rez, imz, rew, imw = _rng(seed).uniform(-5, 5, size=(samples, 4)).T
     violations = 0
     worst = -np.inf
-    for _ in range(samples):
-        p = PlanePoint(
-            complex(rng.uniform(-5, 5), rng.uniform(-5, 5)),
-            complex(rng.uniform(-5, 5), rng.uniform(-5, 5)),
-        )
-        rec = orbit(p, steps)
-        for pt in rec.points:
-            if abs(pt.w) + abs(pt.z) == 0.0:
-                continue
-            u = _u_of_point(pt)
-            if not (-2.0 <= u <= 0.0):
-                violations += 1
-            worst = max(worst, u)
+    for _, _, z, w, _ in orbits(rez + 1j * imz, rew + 1j * imw, steps):
+        u = u_value(z, w)
+        defined = ~np.isnan(u)
+        violations += int(np.count_nonzero(defined & ~((u >= -2.0) & (u <= 0.0))))
+        worst = max(worst, float(u.max(initial=-np.inf, where=defined)))
     return SuiteResult(
         suite="psh-range", samples=samples, steps=steps, seed=seed,
-        violations=violations, worst=float(worst), worst_label="max_u",
+        violations=violations, worst=worst, worst_label="max_u",
         passed=violations == 0,
     )
 

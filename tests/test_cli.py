@@ -93,6 +93,17 @@ class TestVerify:
         code, _, _ = run_cli(["verify", "--suite", "bogus"], capsys)
         assert code == 2
 
+    # 91 and 100 reach states where -2w has an infinite imaginary part, 105 a
+    # finite state whose |w| exceeds double range.
+    @pytest.mark.parametrize("seed", ["91", "100", "105"])
+    def test_psh_range_passes_where_orbits_leave_double_range(self, seed, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--suite", "psh-range", "--samples", "2000",
+             "--steps", "20", "--seed", seed], capsys
+        )
+        assert code == 0
+        assert "passed=true" in out
+
 
 class TestWitness:
     def test_exact_family(self, capsys):
@@ -157,6 +168,15 @@ class TestRender:
         lines = csv.read_text().splitlines()
         assert lines[0].startswith("i,j,") and len(lines) == 17
 
+    @pytest.mark.parametrize("flags", [["--xmin", "5", "--xmax", "-5"],
+                                       ["--ymin", "1", "--ymax", "0"]])
+    def test_reversed_range_is_usage_error(self, flags, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["render", "--width", "4", "--height", "4",
+             "--out", str(tmp_path / "x.ppm"), *flags], capsys
+        )
+        assert code == 2
+
     def test_invalid_palette(self, tmp_path, capsys):
         bad = tmp_path / "palette.json"
         bad.write_text("{not json")
@@ -213,6 +233,45 @@ class TestConfig:
         assert "steps=1" in lines[0]  # flag beat the config
         assert "z=2.0,0.0" in lines[0]  # config value echoed
         assert len(lines) == 3  # header + 2 rows
+
+    def test_config_as_last_argument_is_usage_error(self, capsys):
+        code, _, _ = run_cli(["verify", "--suite", "growth", "--config"], capsys)
+        assert code == 2
+
+    def test_config_with_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"samples": 5}))
+        code, out, _ = run_cli(
+            ["verify", "--suite", "growth", "--steps", "3", f"--config={cfg}"],
+            capsys
+        )
+        assert code == 0
+        assert "samples=5" in out.splitlines()[1]
+
+    def test_comma_in_path_is_not_complex(self, tmp_path, capsys):
+        out = tmp_path / "a,b.txt"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out": str(out)}))
+        code, _, _ = run_cli(
+            ["iterate", "--config", str(cfg), "--z", "0,0", "--w", "0,0",
+             "--steps", "1"], capsys
+        )
+        assert code == 0
+        assert "re_w=2.0" in out.read_text()
+
+    @pytest.mark.parametrize("value", [None, True, [1], {"a": 1}])
+    def test_config_value_must_be_string_or_number(
+        self, value, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out": value}))
+        code, _, _ = run_cli(
+            ["iterate", "--config", str(cfg), "--z", "0,0", "--w", "0,0",
+             "--steps", "1"], capsys
+        )
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -1,8 +1,11 @@
 import cmath
 import math
+import struct
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bakerbench.core import (
@@ -12,7 +15,9 @@ from bakerbench.core import (
     apply_f,
     orbit,
     safe_exp,
+    step,
 )
+from scalar_reference import cmath_step
 
 # Frozen with a 60-digit mpmath evaluation, rounded to double.
 F_1_1 = (2.1353352832366127, 3.1353352832366127)
@@ -121,3 +126,36 @@ def test_orbit_prefix_property(coords, m, n):
         assert short.completed
     if short.completed:
         assert long.points[: m + 1] == short.points
+
+
+# Python's cmath.exp evaluates e^x as e^(x-1)*e above log(DBL_MAX/4), one
+# more rounding than np.exp; below that threshold the two agree bit for bit.
+CMATH_EXP_SCALED = math.log(sys.float_info.max / 4)
+
+parts = st.one_of(st.floats(-1000, 1000),
+                  st.floats(allow_nan=False, allow_infinity=False))
+states = st.tuples(*[st.builds(complex, parts, parts)] * 3)
+
+
+def bits(c: complex) -> bytes:
+    return struct.pack("<2d", c.real, c.imag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(states, min_size=1, max_size=8))
+# exponents with real part just above EXP_MAX, where e^x is still finite
+@example([(-709.5 + 0j, 0j, 0j), (0j, -354.6 + 0j, 0j), (-100 + 1j, -100 - 1j, 5 + 0j)])
+def test_step_matches_cmath_reference(batch):
+    z, w, d = (np.array(col, dtype=np.complex128) for col in zip(*batch))
+    z1, w1, d1, ok = step(z, w, d)
+    for k, (zk, wk, dk) in enumerate(batch):
+        ref = cmath_step(zk, wk, dk)
+        assert bool(ok[k]) == (ref is not None)
+        if ref is None:
+            continue
+        got = (complex(z1[k]), complex(w1[k]), complex(d1[k]))
+        if max((-(zk + wk)).real, (-2 * wk).real) <= CMATH_EXP_SCALED:
+            assert list(map(bits, got)) == list(map(bits, ref))
+        else:
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 4 * sys.float_info.epsilon * abs(r)

@@ -37,6 +37,12 @@ class TestMembership:
         assert not in_L(PlanePoint(2 + 0j, 2.5 + 0j))
         assert not in_L(PlanePoint(0 + 0j, 5 + 0j))
 
+    def test_in_L_takes_any_threshold(self):
+        # Only in_L_alpha restricts alpha; in_L compares the gap with any
+        # threshold.
+        assert in_L(PlanePoint(2 + 0j, 1.5 + 0j), -1.0)
+        assert not in_L(PlanePoint(2 + 0j, 2 + 0j), 0.0)
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             in_L_alpha(PlanePoint(2 + 0j, 4 + 0j), 0.0)

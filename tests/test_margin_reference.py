@@ -8,9 +8,10 @@ high-precision coordinates.
 """
 
 import mpmath as mp
+import numpy as np
 
 from bakerbench.core import PlanePoint, orbit
-from bakerbench.domain import L_THRESHOLD, in_L_alpha
+from bakerbench.domain import L_THRESHOLD, in_wedge
 from bakerbench.suites import telescoping_seeds
 
 REFERENCE_BITS = 400
@@ -33,7 +34,8 @@ def reference_orbit(seed: PlanePoint, n: int) -> list[tuple]:
 def test_thirty_step_margin_on_telescoping_seeds():
     # The (z, w) difference misses d_30 here by a relative 2e-7.
     worst = 0.0
-    for seed in telescoping_seeds(200, SEED):
+    for z, w in zip(*telescoping_seeds(200, SEED)):
+        seed = PlanePoint(complex(z), complex(w))
         rec = orbit(seed, 30)
         assert rec.completed
         ref = complex(reference_orbit(seed, 30)[-1][2])
@@ -58,8 +60,11 @@ def test_margin_and_first_entry_far_from_L():
         k for k, (z, w, r) in enumerate(ref)
         if z.real > 1 and w.real > 1 and r.real > 1
     )
-    entry = next(
-        k for k, (p, d) in enumerate(zip(rec.points, rec.margins))
-        if in_L_alpha(p, L_THRESHOLD, d.real)
+    inside = in_wedge(
+        np.array([p.z for p in rec.points]),
+        np.array([p.w for p in rec.points]),
+        np.array(rec.margins),
+        L_THRESHOLD,
     )
+    entry = int(np.argmax(inside))
     assert ref_entry == entry == 89

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bakerbench.core import OverflowSignal, PlanePoint
@@ -7,6 +8,7 @@ from bakerbench.psh import (
     submean_check,
     u_n,
     u_profile,
+    u_value,
 )
 
 
@@ -34,6 +36,21 @@ class TestUN:
     def test_overflow_raises(self):
         with pytest.raises(OverflowSignal):
             u_n(PlanePoint(-400 + 0j, -400 + 0j), 2)
+
+
+class TestUValue:
+    def test_modulus_beyond_double_range(self):
+        # |w| > DBL_MAX at a finite w; scaling by a power of 2 is exact
+        z = np.array([3e307 - 1e307j])
+        w = np.array([1.5e308 + 1e308j])
+        assert u_value(z, w) == u_value(z * 2.0**-1000, w * 2.0**-1000)
+
+    def test_margin_beyond_double_range(self):
+        u = u_value(np.array([-1e308 + 0j]), np.array([1e308 + 0j]))
+        assert u == -2.0
+
+    def test_undefined_at_double_zero(self):
+        assert np.isnan(u_value(np.array([0j]), np.array([0j])))
 
 
 class TestUProfile:
@@ -110,23 +127,25 @@ class TestSubmeanOnDynamics:
         assert rep.deficit == rep.circle_mean - rep.center_value
 
     def test_insufficient_samples(self):
-        calls = {"n": 0}
-
-        def flaky(lam: complex) -> float:
-            calls["n"] += 1
-            if lam != 0:
-                raise OverflowSignal("simulated blow-up")
-            return 0.0
+        def flaky(lam: np.ndarray) -> np.ndarray:
+            # NaN marks a simulated blow-up at every circle point
+            return np.where(lam != 0, np.nan, 0.0)
 
         with pytest.raises(InsufficientSamples):
             submean_check(probe(samples=16), 0, func=flaky)
 
     def test_partial_exclusion_counted(self):
-        def half(lam: complex) -> float:
-            if lam.imag < 0:
-                raise OverflowSignal("simulated blow-up")
-            return 1.0
+        def half(lam: np.ndarray) -> np.ndarray:
+            return np.where(lam.imag < 0, np.nan, 1.0)
 
         rep = submean_check(probe(samples=16), 0, func=half)
         assert rep.valid_samples == 9  # angles 0..pi inclusive
         assert rep.circle_mean == 1.0
+
+    def test_undefined_circle_point_excluded(self):
+        # The circle point lambda = 0.25 is (0, 0), where u_0 is undefined;
+        # it is excluded like an overflowing one.
+        spec = ProbeSpec(PlanePoint(-0.25 + 0j, 0j), PlanePoint(1 + 0j, 0j), 0.25, 8)
+        rep = submean_check(spec, 0)
+        assert rep.valid_samples == 7
+        assert rep.center_value == -2.0

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from bakerbench import render
 from bakerbench.core import PlanePoint, apply_f
 from bakerbench.domain import in_L
 from bakerbench.render import (
@@ -40,6 +43,13 @@ class TestClassifyPoint:
     def test_immediate_overflow(self):
         pc = classify_point(PlanePoint(-400 + 0j, -400 + 0j), 1)
         assert pc == PixelClass("overflowed", 0)
+
+    def test_entry_read_from_carried_margin(self):
+        # w_k - z_k rounds to 0 from k = 58 on, while the carried margin
+        # enters L at step 89, as a 400-bit orbit does
+        # (tests/test_margin_reference.py).
+        p = PlanePoint(-4.970703125 - 4.716796875j, 0.2 + 0j)
+        assert classify_point(p, 200) == PixelClass("entered", 89)
 
     def test_budget_required(self):
         with pytest.raises(ValueError):
@@ -83,14 +93,15 @@ def wedge_slice(width=4, height=4):
 class TestRenderSlice:
     def test_single_pixel(self):
         r = render_slice(single_pixel_spec(2 + 0j, 4 + 0j), 1)
-        assert r.classes == [PixelClass("entered", 0)]
+        assert r.pixel(0, 0) == PixelClass("entered", 0)
         assert r.stats == {"entered": 1, "overflowed": 0, "not_entered": 0}
 
     def test_wedge_band_all_enter_immediately(self):
         # pixel centers have Re z in {1.6875, 2.0625, 2.4375, 2.8125},
         # all strictly between 1 and 3, with Re w - Re z > 1
         r = render_slice(wedge_slice(), 5)
-        assert all(pc == PixelClass("entered", 0) for pc in r.classes)
+        assert (r.codes == r.codes[0, 0]).all() and (r.steps == 0).all()
+        assert r.pixel(0, 0) == PixelClass("entered", 0)
 
     def test_determinism(self):
         spec = SliceSpec(
@@ -118,6 +129,26 @@ class TestRenderSlice:
             other = render_slice(spec, 50, workers=workers)
             assert np.array_equal(base.codes, other.codes)
             assert np.array_equal(base.steps, other.steps)
+
+    def test_worker_independence_across_chunks(self, monkeypatch):
+        # one row per chunk, more workers than CPUs, frequent thread switches
+        monkeypatch.setattr(render, "CHUNK_PIXELS", 64)
+        spec = SliceSpec(
+            base=PlanePoint(0j, 0.2 + 0j),
+            dir_u=PlanePoint(1 + 0j, 0j),
+            dir_v=PlanePoint(1j, 0j),
+            u_range=(-5.0, 5.0), v_range=(-5.0, 5.0),
+            width=64, height=37,
+        )
+        base = render_slice(spec, 120, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            other = render_slice(spec, 120, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(base.codes, other.codes)
+        assert np.array_equal(base.steps, other.steps)
 
     def test_matches_scalar_classifier(self):
         spec = SliceSpec(
@@ -167,8 +198,7 @@ class TestPpm:
             width=2, height=1,
         )
         r = render_slice(spec, 3)
-        tags = [pc.tag for pc in r.classes]
-        assert tags == ["overflowed", "entered"]
+        assert [r.pixel(i, 0).tag for i in range(2)] == ["overflowed", "entered"]
         data = write_ppm(r, PaletteSpec())
         assert data.startswith(b"P6\n2 1\n255\n")
         assert len(data) == len(b"P6\n2 1\n255\n") + 6
@@ -193,6 +223,28 @@ class TestCsv:
         assert len(lines) == 2
         fields = lines[1].split(",")
         assert fields[6] == "entered" and fields[7] == "0"
+
+    def test_bytes_match_pixel_centers(self, monkeypatch):
+        # an oblique slice cut into chunks of two rows
+        monkeypatch.setattr(render, "CHUNK_PIXELS", 14)
+        spec = SliceSpec(
+            base=PlanePoint(0.3 - 0.2j, 1.5 + 0.7j),
+            dir_u=PlanePoint(0.6 + 0.8j, -0.25 + 0.5j),
+            dir_v=PlanePoint(-0.3 + 1.1j, 0.9 - 0.4j),
+            u_range=(-2.0, 3.0), v_range=(-1.5, 2.5),
+            width=7, height=5,
+        )
+        r = render_slice(spec, 20, workers=2)
+        rows = ["i,j,re_z,im_z,re_w,im_w,tag,step"]
+        for j in range(5):
+            for i in range(7):
+                p = spec.pixel_center(i, j)
+                pc = classify_point(p, 20)
+                assert r.pixel(i, j) == pc
+                step = "" if pc.step is None else pc.step
+                rows.append(f"{i},{j},{p.z.real!r},{p.z.imag!r},"
+                            f"{p.w.real!r},{p.w.imag!r},{pc.tag},{step}")
+        assert write_grid_csv(r) == ("\n".join(rows) + "\n").encode()
 
     def test_row_count_and_roundtrip(self):
         spec = SliceSpec(
