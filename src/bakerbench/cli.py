@@ -3,11 +3,11 @@
 Subcommands: iterate, verify, witness, render, psh.  Every run is
 deterministic given its flags (plus --seed for sampled suites).  Exit
 codes: 0 success, 2 usage error, 3 verification failure, 4 numeric
-failure (solver non-convergence or fatal overflow).
+failure (solver non-convergence, fatal overflow, too few usable samples).
 
-Values may also come from a JSON config file (--config); explicit flags
-win over config entries, and the effective configuration is echoed in
-every report header.
+Values may also come from a JSON config file (--config), whose entries
+are parsed as flags written before the explicit ones, so explicit flags
+win; the effective configuration is echoed in every report header.
 """
 
 from __future__ import annotations
@@ -44,22 +44,30 @@ class UsageError(Exception):
     pass
 
 
-def parse_complex(text: str) -> complex:
+def finite_float(text: str) -> float:
     try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 're,im' pair, got {text!r}"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def parse_complex(text: str) -> complex:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expected 're,im' pair, got {text!r}")
+    return complex(*map(finite_float, parts))
 
 
 def _fmt_complex(c: complex) -> str:
     return f"{c.real!r},{c.imag!r}"
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
-    """The parser, and for each subcommand its options by destination."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
+    """The parser, and for each subcommand the flag of each option by
+    destination."""
     ap = argparse.ArgumentParser(
         prog="bakerbench",
         description="Numerical workbench for the skew-product "
@@ -67,15 +75,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    options: dict[str, dict[str, argparse.Action]] = {}
+    options: dict[str, dict[str, str]] = {}
 
     def command(name: str, help: str):
         p = sub.add_parser(name, help=help)
-        actions = options[name] = {}
+        flags = options[name] = {}
 
-        def add(*flags, **kwargs) -> None:
-            action = p.add_argument(*flags, **kwargs)
-            actions[action.dest] = action
+        def add(flag: str, **kwargs) -> None:
+            flags[p.add_argument(flag, **kwargs).dest] = flag
 
         add("--config", type=Path, help="JSON config file; flags win")
         add("--out", type=Path, help="output path (default stdout)")
@@ -100,15 +107,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
 
     add = command("render", "render a basin slice to PPM/CSV")
     add("--w-fixed", type=parse_complex, default=complex(4, 0), metavar="RE,IM")
-    add("--xmin", type=float, default=-5.0)
-    add("--xmax", type=float, default=5.0)
-    add("--ymin", type=float, default=-5.0)
-    add("--ymax", type=float, default=5.0)
+    add("--xmin", type=finite_float, default=-5.0)
+    add("--xmax", type=finite_float, default=5.0)
+    add("--ymin", type=finite_float, default=-5.0)
+    add("--ymax", type=finite_float, default=5.0)
     add("--width", type=int, default=512)
     add("--height", type=int, default=512)
     add("--budget", type=int, default=200)
     add("--workers", type=int, default=1)
-    add("--alpha-threshold", type=float, default=1.0)
+    add("--alpha-threshold", type=finite_float, default=1.0)
     add("--palette", type=Path, help="JSON palette file")
     add("--csv-out", type=Path, help="also dump the grid as CSV")
 
@@ -117,30 +124,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argpars
     add("--center-w", type=parse_complex, required=True, metavar="RE,IM")
     add("--dir-z", type=parse_complex, default=complex(1, 0), metavar="RE,IM")
     add("--dir-w", type=parse_complex, default=complex(0, 0), metavar="RE,IM")
-    add("--radius", type=float, default=0.01)
+    add("--radius", type=finite_float, default=0.01)
     add("--samples", type=int, default=64)
     add("--n", type=int, default=5)
     return ap, options
 
 
-def _apply_config(options: dict[str, argparse.Action], path: Path) -> None:
-    """Make the entries of a JSON config file the defaults of one
-    subcommand's options, so that explicit flags win.  A value must be a
-    JSON string or number; it is set as a string, which argparse converts
-    with the option's own type."""
+def _config_argv(flags: dict[str, str], path: Path) -> list[str]:
+    """The entries of a JSON config file as ``--flag=value`` tokens of one
+    subcommand, to be parsed before its explicit flags so that those win.
+    A value must be a JSON string or number; keys that name no option of
+    the subcommand are ignored."""
     try:
         data = json.loads(path.read_text())
         if not isinstance(data, dict):
             raise ValueError("config root must be an object")
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad config file {path}: {exc}") from None
+    tokens = []
     for key, value in data.items():
         if type(value) not in (str, int, float):  # not null, a bool, a list
             raise UsageError(f"bad config file {path}: {key} is not a string or number")
-        action = options.get(key.replace("-", "_"))
-        if action is not None:
-            action.default = str(value)
-            action.required = False
+        flag = flags.get(key.replace("-", "_"))
+        if flag is not None:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -148,6 +156,16 @@ def _emit(text: str, out: Path | None) -> None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
+
+
+def _report(args: argparse.Namespace, header: dict, section: str,
+            record: dict, out: Path | None) -> None:
+    """The effective configuration and one record, as a tree or as two
+    key=value lines."""
+    if args.format == "tree":
+        _emit(tree_doc({"config": header, section: record}), out)
+    else:
+        _emit(kv_line(header) + "\n" + kv_line(record) + "\n", out)
 
 
 def _header(args: argparse.Namespace, **extra) -> dict:
@@ -209,10 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "passed": result.passed,
         **result.notes,
     }
-    if args.format == "tree":
-        _emit(tree_doc({"config": header, "result": record}), args.out)
-    else:
-        _emit(kv_line(header) + "\n" + kv_line(record) + "\n", args.out)
+    _report(args, header, "result", record, args.out)
     return EXIT_OK if result.passed else EXIT_VERIFICATION
 
 
@@ -285,11 +300,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.csv_out is not None:
         args.csv_out.write_bytes(write_grid_csv(raster))
     header = _header(args, out=str(out))
-    record = {"ppm": str(out), **raster.stats}
-    if args.format == "tree":
-        sys.stdout.write(tree_doc({"config": header, "stats": record}))
-    else:
-        sys.stdout.write(kv_line(header) + "\n" + kv_line(record) + "\n")
+    _report(args, header, "stats", {"ppm": str(out), **raster.stats}, None)
     return EXIT_OK
 
 
@@ -311,10 +322,7 @@ def cmd_psh(args: argparse.Namespace) -> int:
         "deficit": report.deficit,
         "valid_samples": report.valid_samples,
     }
-    if args.format == "tree":
-        _emit(tree_doc({"config": header, "report": record}), args.out)
-    else:
-        _emit(kv_line(header) + "\n" + kv_line(record) + "\n", args.out)
+    _report(args, header, "report", record, args.out)
     return EXIT_OK
 
 
@@ -327,24 +335,26 @@ _COMMANDS = {
 }
 
 
+_PARSER, _FLAGS = build_parser()
+# Finds the subcommand and --config, whose entries become flags of it.
+_PRE = argparse.ArgumentParser(prog="bakerbench", add_help=False)
+_PRE.add_argument("command", nargs="?")
+_PRE.add_argument("--config", type=Path)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap, options = build_parser()
-    # First pass: only the subcommand and --config, to seed the defaults
-    # of that subcommand before the real parse.
-    pre = argparse.ArgumentParser(prog="bakerbench", add_help=False)
-    pre.add_argument("command", nargs="?")
-    pre.add_argument("--config", type=Path)
     try:
-        first, _ = pre.parse_known_args(argv)
-        if first.config is not None and first.command in options:
-            _apply_config(options[first.command], first.config)
-        args = ap.parse_args(argv)
+        first, _ = _PRE.parse_known_args(argv)
+        if first.config is not None and first.command in _FLAGS:
+            at = argv.index(first.command) + 1
+            argv[at:at] = _config_argv(_FLAGS[first.command], first.config)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError, InsufficientSamples) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverFailure, OverflowSignal) as exc:
+    except (SolverFailure, OverflowSignal, InsufficientSamples) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

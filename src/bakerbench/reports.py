@@ -6,18 +6,12 @@ import dataclasses
 import json
 from typing import Any
 
-import numpy as np
-
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert values (complex, dataclasses, arrays) to plain
+    """Recursively convert values (complex, dataclasses, containers) to plain
     JSON-friendly structures.  Complex numbers become {"re": ..., "im": ...}."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))

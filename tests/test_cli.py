@@ -1,10 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bakerbench
+from bakerbench import cli
 from bakerbench.cli import main
 
 
@@ -220,11 +224,38 @@ class TestPsh:
         )
         assert code == 2
 
+    def test_too_few_usable_samples_is_numeric_failure(self, capsys):
+        code, _, err = run_cli(
+            ["psh", "--center-z=-118.5,4.7", "--center-w=-102.4,0.3",
+             "--dir-z", "1,0", "--dir-w", "1,0", "--radius", "1", "--n", "2"],
+            capsys
+        )
+        assert code == 4
+        assert "only 14 of 64 circle points usable" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--xmin", "nan"],
+    ["render", "--xmax", "inf"],
+    ["render", "--ymin=-inf"],
+    ["render", "--alpha-threshold", "nan"],
+    ["render", "--w-fixed", "0,nan"],
+    ["witness", "--target", "nan,0", "--count", "2"],
+    ["psh", "--center-z", "2,0", "--center-w", "4,0", "--radius", "nan"],
+    ["iterate", "--z", "inf,0", "--w", "0,0", "--steps", "1"],
+])
+def test_non_finite_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(argv + ["--out", "x.out"], capsys)
+    assert code == 2
+    assert out == "" and list(tmp_path.iterdir()) == []
+
 
 class TestConfig:
     def test_config_merges_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"z": "2,0", "w": "4,0", "steps": 3}))
+        cfg.write_text(json.dumps({"z": "2,0", "w": "4,0", "steps": 3,
+                                   "no-such-option": "x"}))
         code, out, _ = run_cli(
             ["iterate", "--config", str(cfg), "--steps", "1"], capsys
         )
@@ -273,6 +304,46 @@ class TestConfig:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    def test_config_value_takes_the_choices_of_its_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        code, out, _ = run_cli(
+            ["verify", "--suite", "growth", "--config", str(cfg)], capsys
+        )
+        assert code == 2
+        assert out == ""
+
+    def test_malformed_entry_is_usage_error_even_when_overridden(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"samples": "abc"}))
+        code, _, _ = run_cli(
+            ["verify", "--suite", "growth", "--config", str(cfg),
+             "--samples", "5"], capsys
+        )
+        assert code == 2
+
+    def test_config_does_not_outlive_its_call(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"samples": 5}))
+        argv = ["verify", "--suite", "growth", "--steps", "1"]
+        code, out, _ = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 0 and "samples=5" in out.splitlines()[0]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and "samples=1000" in out.splitlines()[0]
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch, capsys):
+        def build_parser():
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"steps": 2}))
+        argv = ["iterate", "--z", "0,0", "--w", "0,0"]
+        assert run_cli(argv + ["--config", str(cfg)], capsys)[0] == 0
+        assert run_cli(argv + ["--steps", "1"], capsys)[0] == 0
+
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1,2]")
@@ -284,10 +355,13 @@ class TestConfig:
 
 
 def test_installed_entry_point_runs():
+    src = str(Path(bakerbench.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "bakerbench", "iterate",
          "--z", "0,0", "--w", "0,0", "--steps", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "re_w=2.0" in proc.stdout
