@@ -29,6 +29,7 @@ from .render import (
     RasterResult,
     SliceSpec,
     classify_point,
+    grid_csv_blocks,
     render_slice,
     write_grid_csv,
     write_ppm,
@@ -67,6 +68,7 @@ __all__ = [
     "classify_point",
     "find_witnesses",
     "first_coord_identity_residual",
+    "grid_csv_blocks",
     "h_eval",
     "image_direction",
     "in_L",

@@ -2,8 +2,9 @@
 
 Subcommands: iterate, verify, witness, render, psh.  Every run is
 deterministic given its flags (plus --seed for sampled suites).  Exit
-codes: 0 success, 2 usage error, 3 verification failure, 4 numeric
-failure (solver non-convergence, fatal overflow, too few usable samples).
+codes: 0 success, 2 usage error (an output file that cannot be written
+included), 3 verification failure, 4 numeric failure (solver
+non-convergence, fatal overflow, too few usable samples).
 
 Values may also come from a JSON config file (--config), whose entries
 are parsed as flags written before the explicit ones, so explicit flags
@@ -16,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,8 @@ from .psh import InsufficientSamples, ProbeSpec, submean_check, u_value
 from .render import (
     PaletteSpec,
     SliceSpec,
+    grid_csv_blocks,
     render_slice,
-    write_grid_csv,
     write_ppm,
 )
 from .reports import kv_line, tree_doc
@@ -151,11 +153,31 @@ def _config_argv(flags: dict[str, str], path: Path) -> list[str]:
     return tokens
 
 
+def _check_output(path: Path | None) -> None:
+    """A usage error, raised before any compute, where path names a
+    directory or a file in a directory that does not exist."""
+    if path is None:
+        return
+    if path.is_dir():
+        raise UsageError(f"output path {path} is a directory")
+    if not path.parent.is_dir():
+        raise UsageError(f"output directory {path.parent} does not exist")
+
+
+def _write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to path as they come; failing to is a usage error."""
+    try:
+        with path.open("wb") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from None
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        _write(out, [text.encode()])
 
 
 def _report(args: argparse.Namespace, header: dict, section: str,
@@ -296,9 +318,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     raster = render_slice(spec, args.budget, threshold=args.alpha_threshold,
                           workers=args.workers)
     out = args.out if args.out is not None else Path("basin.ppm")
-    out.write_bytes(write_ppm(raster, palette))
+    _write(out, [write_ppm(raster, palette)])
     if args.csv_out is not None:
-        args.csv_out.write_bytes(write_grid_csv(raster))
+        _write(args.csv_out, grid_csv_blocks(raster))
     header = _header(args, out=str(out))
     _report(args, header, "stats", {"ppm": str(out), **raster.stats}, None)
     return EXIT_OK
@@ -350,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(first.command) + 1
             argv[at:at] = _config_argv(_FLAGS[first.command], first.config)
         args = _PARSER.parse_args(argv)
+        _check_output(args.out)
+        _check_output(getattr(args, "csv_out", None))
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

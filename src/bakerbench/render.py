@@ -12,7 +12,7 @@ so grids and emitted bytes are identical for any worker count.
 
 from __future__ import annotations
 
-import io
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -234,21 +234,50 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     return header + img.tobytes()
 
 
-def write_grid_csv(r: RasterResult) -> bytes:
-    """CSV dump: i,j,re_z,im_z,re_w,im_w,tag,step (step empty if none)."""
-    out = io.BytesIO()
-    out.write(b"i,j,re_z,im_z,re_w,im_w,tag,step\n")
-    columns = range(r.spec.width)
-    block = max(1, CHUNK_PIXELS // r.spec.width)
+def _lookup(keys: np.ndarray, fmt) -> list[str]:
+    """The string of each key of keys, in C order.  fmt maps the sorted
+    distinct keys to their strings, so each is formatted once."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return list(map(fmt(distinct).__getitem__, inverse.ravel().tolist()))
+
+
+def _float_field(bits: np.ndarray) -> list[str]:
+    # Keyed by bit pattern, so -0.0 and 0.0 keep their own reprs.
+    return [f"{v!r}," for v in bits.view(np.float64).tolist()]
+
+
+def _class_field(keys: np.ndarray) -> list[str]:
+    # key = 4 * step + code (codes are below 4), step -1 where none applies.
+    return [f"{_CODE_TO_TAG[k % 4]},{'' if k % 4 == _CODE_NOT_ENTERED else k // 4}\n"
+            for k in keys.tolist()]
+
+
+def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
+    """The CSV dump of write_grid_csv as an iterator of bytes: the header
+    line, then the lines of each block of about CHUNK_PIXELS pixels of whole
+    rows.  Within a block each distinct float bit pattern is formatted with
+    repr once, and each distinct (tag, step) pair once; the lines are
+    joined from those strings.  Writing the blocks to a file as they come
+    never holds the whole dump."""
+    yield b"i,j,re_z,im_z,re_w,im_w,tag,step\n"
+    width = r.spec.width
+    columns = [f"{i}," for i in range(width)]
+    block = max(1, CHUNK_PIXELS // width)
     for lo in range(0, r.spec.height, block):
-        z, w = _pixel_grid(r.spec, np.arange(lo, min(lo + block, r.spec.height)))
-        for j in range(lo, lo + len(z)):
-            zj, wj = z[j - lo], w[j - lo]
-            out.write("".join(
-                f"{i},{j},{a!r},{b!r},{c!r},{e!r},{_CODE_TO_TAG[code]},"
-                f"{'' if code == _CODE_NOT_ENTERED else s}\n"
-                for i, a, b, c, e, code, s in zip(
-                    columns, zj.real.tolist(), zj.imag.tolist(), wj.real.tolist(),
-                    wj.imag.tolist(), r.codes[j].tolist(), r.steps[j].tolist())
-            ).encode("ascii"))
-    return out.getvalue()
+        rows = np.arange(lo, min(lo + block, r.spec.height))
+        z, w = _pixel_grid(r.spec, rows)
+        fields = [columns * rows.size,
+                  [f for j in rows.tolist() for f in [f"{j},"] * width]]
+        for x in (z.real, z.imag, w.real, w.imag):
+            fields.append(_lookup(x.view(np.uint64), _float_field))
+        keys = 4 * r.steps[rows].astype(np.int64) + r.codes[rows]
+        fields.append(_lookup(keys, _class_field))
+        yield "".join(map("".join, zip(*fields))).encode("ascii")
+
+
+def write_grid_csv(r: RasterResult) -> bytes:
+    """CSV dump, one line per pixel, row by row:
+    i,j,re_z,im_z,re_w,im_w,tag,step, with the pixel centre's parts
+    written by repr and step empty where none applies.  The bytes of
+    grid_csv_blocks, joined."""
+    return b"".join(grid_csv_blocks(r))

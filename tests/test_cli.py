@@ -6,9 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from csv_reference import reference_grid_csv
 
 import bakerbench
-from bakerbench import cli
+from bakerbench import cli, render
 from bakerbench.cli import main
 
 
@@ -172,6 +173,27 @@ class TestRender:
         lines = csv.read_text().splitlines()
         assert lines[0].startswith("i,j,") and len(lines) == 17
 
+    @pytest.mark.parametrize("w_fixed", ["4,0", "0.2,0"])
+    def test_csv_file_matches_reference_writer(self, w_fixed, tmp_path,
+                                               monkeypatch, capsys):
+        # streamed in blocks of 5 rows, the last of 2
+        monkeypatch.setattr(render, "CHUNK_PIXELS", 5 * 48 + 7)
+        rasters = []
+
+        def keep(*args, **kwargs):
+            rasters.append(render.render_slice(*args, **kwargs))
+            return rasters[-1]
+
+        monkeypatch.setattr(cli, "render_slice", keep)
+        csv = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            ["render", "--width", "48", "--height", "32", "--budget", "200",
+             "--w-fixed", w_fixed, "--out", str(tmp_path / "img.ppm"),
+             "--csv-out", str(csv)], capsys
+        )
+        assert code == 0
+        assert csv.read_bytes() == reference_grid_csv(rasters[0])
+
     @pytest.mark.parametrize("flags", [["--xmin", "5", "--xmax", "-5"],
                                        ["--ymin", "1", "--ymax", "0"]])
     def test_reversed_range_is_usage_error(self, flags, tmp_path, capsys):
@@ -204,6 +226,57 @@ class TestRender:
         )
         assert code == 0
         assert out.read_bytes().endswith(b"\xff\x00\xff" * 4)
+
+
+class TestOutputPaths:
+    @pytest.fixture
+    def no_render(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("render_slice called")
+
+        monkeypatch.setattr(cli, "render_slice", fail)
+
+    def assert_usage_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_iterate_out_in_missing_directory(self, tmp_path, capsys):
+        self.assert_usage_error(
+            ["iterate", "--z", "0,0", "--w", "0,0", "--steps", "1",
+             "--out", str(tmp_path / "missing" / "x.txt")], capsys)
+
+    def test_render_empty_out_is_a_directory(self, no_render, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self.assert_usage_error(["render", "--out=", "--width", "4",
+                                 "--height", "4"], capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_render_csv_out_in_missing_directory(self, no_render, tmp_path,
+                                                 capsys):
+        ppm = tmp_path / "img.ppm"
+        self.assert_usage_error(
+            ["render", "--width", "4", "--height", "4", "--out", str(ppm),
+             "--csv-out", str(tmp_path / "missing" / "g.csv")], capsys)
+        assert not ppm.exists()
+
+    def test_write_error_after_render_is_usage_error(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the output directory disappears while the slice renders
+        gone = tmp_path / "gone"
+        gone.mkdir()
+
+        def render_then_remove(*args, **kwargs):
+            gone.rmdir()
+            return render.render_slice(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "render_slice", render_then_remove)
+        self.assert_usage_error(
+            ["render", "--width", "4", "--height", "4",
+             "--out", str(tmp_path / "img.ppm"),
+             "--csv-out", str(gone / "g.csv")], capsys)
 
 
 class TestPsh:

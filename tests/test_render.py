@@ -2,6 +2,7 @@ import sys
 
 import numpy as np
 import pytest
+from csv_reference import reference_grid_csv
 
 from bakerbench import render
 from bakerbench.core import PlanePoint, apply_f
@@ -11,6 +12,7 @@ from bakerbench.render import (
     PixelClass,
     SliceSpec,
     classify_point,
+    grid_csv_blocks,
     render_slice,
     write_grid_csv,
     write_ppm,
@@ -215,7 +217,44 @@ class TestPpm:
             PaletteSpec.from_mapping({"entered_cycle": []})
 
 
+CSV_SLICES = {
+    "default": (PlanePoint(0j, 4 + 0j), PlanePoint(1 + 0j, 0j), PlanePoint(1j, 0j)),
+    "w=0.2": (PlanePoint(0j, 0.2 + 0j), PlanePoint(1 + 0j, 0j), PlanePoint(1j, 0j)),
+    "oblique": (PlanePoint(0.3 - 0.2j, 1.5 + 0.7j), PlanePoint(0.6 + 0.8j, -0.25 + 0.5j),
+                PlanePoint(-0.3 + 1.1j, 0.9 - 0.4j)),
+}
+
+
 class TestCsv:
+    @pytest.mark.parametrize("name", CSV_SLICES)
+    def test_matches_reference_writer(self, name, monkeypatch):
+        # blocks of 5 rows, the last of 2; budget 200 puts overflows at
+        # steps whose (code, step) pairs outrun a uint8
+        monkeypatch.setattr(render, "CHUNK_PIXELS", 5 * 48 + 7)
+        spec = SliceSpec(*CSV_SLICES[name], u_range=(-5.0, 5.0),
+                         v_range=(-5.0, 5.0), width=48, height=32)
+        r = render_slice(spec, 200)
+        assert (r.stats["overflowed"] > 0) == (name != "default")
+        assert len(list(grid_csv_blocks(r))) == 1 + 7
+        assert write_grid_csv(r) == reference_grid_csv(r)
+
+    def test_signed_zeros_keep_their_reprs(self):
+        # Re z is -0.0 + u*0 + v*0: -0.0 where u < 0, 0.0 where u > 0.
+        spec = SliceSpec(
+            base=PlanePoint(complex(-0.0, -0.0), 0.5 + 0j),
+            dir_u=PlanePoint(0j, 1 + 0j),
+            dir_v=PlanePoint(0j, 1j),
+            u_range=(-1.0, 1.0), v_range=(-1.0, 1.0),
+            width=4, height=3,
+        )
+        r = render_slice(spec, 10)
+        rows = [line.split(",") for line in write_grid_csv(r).decode().splitlines()[1:]]
+        assert {f[2] for f in rows} == {"-0.0", "0.0"}
+        for f in rows:
+            p = spec.pixel_center(int(f[0]), int(f[1]))
+            assert f[2:6] == [repr(p.z.real), repr(p.z.imag),
+                              repr(p.w.real), repr(p.w.imag)]
+
     def test_single_pixel(self):
         r = render_slice(single_pixel_spec(2 + 0j, 4 + 0j), 1)
         lines = write_grid_csv(r).decode().splitlines()
