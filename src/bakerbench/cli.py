@@ -2,13 +2,16 @@
 
 Subcommands: iterate, verify, witness, render, psh.  Every run is
 deterministic given its flags (plus --seed for sampled suites).  Exit
-codes: 0 success, 2 usage error (an output file that cannot be written
+codes: 0 success, 2 usage error (an output file that cannot be written,
+a slice with a non-finite pixel centre and a branch index beyond 2**53
 included), 3 verification failure, 4 numeric failure (solver
-non-convergence, fatal overflow, too few usable samples).
+non-convergence, fatal overflow, too few usable samples, or any other
+ValueError from the computation).
 
 Values may also come from a JSON config file (--config), whose entries
 are parsed as flags written before the explicit ones, so explicit flags
-win; the effective configuration is echoed in every report header.
+win; the effective configuration is echoed in every report header, as
+a key=value line or as the "config" object of a JSON tree (--format).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 import sys
 from collections.abc import Iterable
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -32,14 +36,17 @@ from .render import (
     render_slice,
     write_ppm,
 )
-from .reports import kv_line, tree_doc
-from .suites import GENERATOR_NAME, SUITES, run_suite
-from .witness import SolverFailure, find_witnesses, image_direction
+from .suites import GENERATOR_NAME, SUITES
+from .witness import SolverFailure, branch_range, find_witnesses, image_direction
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 EXIT_NUMERIC = 4
+
+# Largest |branch index| the witness solver is given: it computes with the
+# index as a float, which holds every integer up to 2**53 exactly.
+MAX_BRANCH = 2**53
 
 
 class UsageError(Exception):
@@ -61,10 +68,6 @@ def parse_complex(text: str) -> complex:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 're,im' pair, got {text!r}")
     return complex(*map(finite_float, parts))
-
-
-def _fmt_complex(c: complex) -> str:
-    return f"{c.real!r},{c.imag!r}"
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
@@ -154,10 +157,13 @@ def _config_argv(flags: dict[str, str], path: Path) -> list[str]:
 
 
 def _check_output(path: Path | None) -> None:
-    """A usage error, raised before any compute, where path names a
-    directory or a file in a directory that does not exist."""
+    """A usage error, raised before any compute, where path holds a NUL
+    byte or names a directory or a file in a directory that does not
+    exist."""
     if path is None:
         return
+    if "\0" in str(path):
+        raise UsageError(f"output path {str(path)!r} holds a NUL byte")
     if path.is_dir():
         raise UsageError(f"output path {path} is a directory")
     if not path.parent.is_dir():
@@ -173,21 +179,30 @@ def _write(path: Path, chunks: Iterable[bytes]) -> None:
         raise UsageError(f"cannot write output: {exc}") from None
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write(out, [text.encode()])
+def _spec(cls, **fields):
+    """cls(**fields), where the ValueError of its validation is a usage
+    error."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _report(args: argparse.Namespace, header: dict, section: str,
-            record: dict, out: Path | None) -> None:
-    """The effective configuration and one record, as a tree or as two
-    key=value lines."""
-    if args.format == "tree":
-        _emit(tree_doc({"config": header, section: record}), out)
-    else:
-        _emit(kv_line(header) + "\n" + kv_line(record) + "\n", out)
+def _scalar(v: Any) -> str:
+    if isinstance(v, complex):
+        return f"{v.real!r},{v.imag!r}"
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "none"
+    return str(v)
+
+
+def kv_line(record: dict[str, Any]) -> str:
+    """One record as space-separated key=value pairs on a single line."""
+    return " ".join(f"{k}={_scalar(v)}" for k, v in record.items())
 
 
 def _header(args: argparse.Namespace, **extra) -> dict:
@@ -196,13 +211,29 @@ def _header(args: argparse.Namespace, **extra) -> dict:
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
             continue
-        if isinstance(value, complex):
-            value = _fmt_complex(value)
-        elif isinstance(value, Path):
-            value = str(value)
+        if isinstance(value, (complex, Path)):
+            value = _scalar(value)
         cfg[key] = value
     cfg.update(extra)
     return cfg
+
+
+def _report(args: argparse.Namespace, body: dict, lines: list[str],
+            dest: Path | None, **extra) -> None:
+    """The effective configuration (the flags and extra) and the result, to
+    dest or stdout: as a JSON tree of the configuration and the entries of
+    body, complex numbers as {"re": ..., "im": ...}, or as the
+    configuration's key=value line followed by lines."""
+    header = _header(args, **extra)
+    if args.format == "tree":
+        text = json.dumps({"config": header, **body}, indent=2,
+                          default=lambda c: {"re": c.real, "im": c.imag}) + "\n"
+    else:
+        text = "\n".join([kv_line(header), *lines]) + "\n"
+    if dest is None:
+        sys.stdout.write(text)
+    else:
+        _write(dest, [text.encode()])
 
 
 def cmd_iterate(args: argparse.Namespace) -> int:
@@ -219,26 +250,23 @@ def cmd_iterate(args: argparse.Namespace) -> int:
             "margin": d.real,
             "u_n": None if math.isnan(u_n) else u_n,
         })
-    header = _header(args, truncated=not rec.completed,
-                     overflow_step=rec.overflow_step)
-    if args.format == "tree":
-        _emit(tree_doc({"config": header, "rows": rows}), args.out)
-    else:
-        lines = [kv_line(header)] + [kv_line(r) for r in rows]
-        if not rec.completed:
-            lines.append(kv_line({
-                "notice": "orbit-truncated-by-overflow",
-                "overflow_step": rec.overflow_step,
-            }))
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [kv_line(r) for r in rows]
+    if not rec.completed:
+        lines.append(kv_line({
+            "notice": "orbit-truncated-by-overflow",
+            "overflow_step": rec.overflow_step,
+        }))
+    _report(args, {"rows": rows}, lines, args.out,
+            truncated=not rec.completed, overflow_step=rec.overflow_step)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.samples < 1 or args.steps < 1:
         raise UsageError("--samples and --steps must be >= 1")
-    result = run_suite(args.suite, args.samples, args.seed, args.steps)
-    header = _header(args, generator=GENERATOR_NAME)
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    result = SUITES[args.suite](args.samples, args.seed, args.steps)
     record = {
         "suite": result.suite,
         "samples": result.samples,
@@ -249,53 +277,45 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "passed": result.passed,
         **result.notes,
     }
-    _report(args, header, "result", record, args.out)
+    _report(args, {"result": record}, [kv_line(record)], args.out,
+            generator=GENERATOR_NAME)
     return EXIT_OK if result.passed else EXIT_VERIFICATION
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
+    span = branch_range(args.target, args.count, args.first_branch)
+    if max(abs(span.start), abs(span.stop - 1)) > MAX_BRANCH:
+        raise UsageError("--first-branch and --count must keep the branch "
+                         "indices within 2**53 in absolute value")
     seq = find_witnesses(args.target, args.count, first_branch=args.first_branch)
-    header = _header(args)
-    if args.format == "tree":
-        payload = {
-            "config": header,
-            "target": args.target,
-            "failed_branches": list(seq.failed_branches),
-            "witnesses": [
-                {
-                    "k": k, "zeta": z, "modulus": mod, "residual": res,
-                    "direction": image_direction(z),
-                }
-                for k, z, mod, res in zip(
-                    seq.branches, seq.zetas, seq.moduli, seq.residuals
-                )
-            ],
-        }
-        _emit(tree_doc(payload), args.out)
-    else:
-        lines = [kv_line(header),
-                 "k,re_zeta,im_zeta,modulus,residual,"
-                 "dir_p_re,dir_p_im,dir_q_re,dir_q_im"]
-        for k, z, mod, res in zip(seq.branches, seq.zetas, seq.moduli,
-                                  seq.residuals):
-            d = image_direction(z)
-            lines.append(
-                f"{k},{z.real!r},{z.imag!r},{mod!r},{res!r},"
-                f"{_fmt_complex(d.p)},{_fmt_complex(d.q)}"
-            )
-        if seq.failed_branches:
-            lines.append(kv_line({
-                "notice": "branches-skipped",
-                "failed_branches": ";".join(map(str, seq.failed_branches)),
-            }))
-        _emit("\n".join(lines) + "\n", args.out)
+    witnesses = []
+    lines = ["k,re_zeta,im_zeta,modulus,residual,"
+             "dir_p_re,dir_p_im,dir_q_re,dir_q_im"]
+    for k, z, mod, res in zip(seq.branches, seq.zetas, seq.moduli, seq.residuals):
+        d = image_direction(z)
+        witnesses.append({
+            "k": k, "zeta": z, "modulus": mod, "residual": res,
+            "direction": {"p": d.p, "q": d.q, "degenerate": d.degenerate},
+        })
+        lines.append(",".join(map(_scalar, (k, z, mod, res, d.p, d.q))))
+    if seq.failed_branches:
+        lines.append(kv_line({
+            "notice": "branches-skipped",
+            "failed_branches": ";".join(map(str, seq.failed_branches)),
+        }))
+    body = {
+        "target": args.target,
+        "failed_branches": list(seq.failed_branches),
+        "witnesses": witnesses,
+    }
+    _report(args, body, lines, args.out)
     return EXIT_OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    for name in ("width", "height", "budget", "workers"):
+    for name in ("budget", "workers"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name} must be >= 1")
     if args.xmin > args.xmax or args.ymin > args.ymax:
@@ -306,7 +326,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             palette = PaletteSpec.from_mapping(json.loads(args.palette.read_text()))
         except (OSError, ValueError, TypeError) as exc:
             raise UsageError(f"bad palette file {args.palette}: {exc}") from None
-    spec = SliceSpec(
+    spec = _spec(
+        SliceSpec,
         base=PlanePoint(0j, args.w_fixed),
         dir_u=PlanePoint(1 + 0j, 0j),
         dir_v=PlanePoint(1j, 0j),
@@ -321,22 +342,22 @@ def cmd_render(args: argparse.Namespace) -> int:
     _write(out, [write_ppm(raster, palette)])
     if args.csv_out is not None:
         _write(args.csv_out, grid_csv_blocks(raster))
-    header = _header(args, out=str(out))
-    _report(args, header, "stats", {"ppm": str(out), **raster.stats}, None)
+    stats = {"ppm": str(out), **raster.stats}
+    _report(args, {"stats": stats}, [kv_line(stats)], None, out=str(out))
     return EXIT_OK
 
 
 def cmd_psh(args: argparse.Namespace) -> int:
-    if args.radius <= 0 or args.samples < 8 or args.n < 0:
-        raise UsageError("--radius > 0, --samples >= 8, --n >= 0 required")
-    probe = ProbeSpec(
+    if args.n < 0:
+        raise UsageError("--n must be >= 0")
+    probe = _spec(
+        ProbeSpec,
         center=PlanePoint(args.center_z, args.center_w),
         direction=PlanePoint(args.dir_z, args.dir_w),
         radius=args.radius,
         samples=args.samples,
     )
     report = submean_check(probe, args.n)
-    header = _header(args)
     record = {
         "n": report.n,
         "center_value": report.center_value,
@@ -344,7 +365,7 @@ def cmd_psh(args: argparse.Namespace) -> int:
         "deficit": report.deficit,
         "valid_samples": report.valid_samples,
     }
-    _report(args, header, "report", record, args.out)
+    _report(args, {"report": record}, [kv_line(record)], args.out)
     return EXIT_OK
 
 
@@ -375,10 +396,10 @@ def main(argv: list[str] | None = None) -> int:
         _check_output(args.out)
         _check_output(getattr(args, "csv_out", None))
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverFailure, OverflowSignal, InsufficientSamples) as exc:
+    except (SolverFailure, OverflowSignal, InsufficientSamples, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

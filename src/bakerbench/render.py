@@ -65,6 +65,15 @@ class SliceSpec:
             raise ValueError("dir_u must be nonzero")
         if self.dir_v.z == 0 and self.dir_v.w == 0:
             raise ValueError("dir_v must be nonzero")
+        # The centres are affine in the pixel position, so the components
+        # of the four corner centres bound those of every other centre:
+        # where these are finite, all are.
+        for i in (0, self.width - 1):
+            for j in (0, self.height - 1):
+                try:
+                    self.pixel_center(i, j)
+                except ValueError:
+                    raise ValueError(f"pixel ({i}, {j}) has a non-finite centre") from None
 
     def pixel_center(self, i: int, j: int) -> PlanePoint:
         u0, u1 = self.u_range

@@ -126,10 +126,3 @@ SUITES = {
     "psh-range": psh_range_suite,
 }
 
-
-def run_suite(name: str, samples: int, seed: int, steps: int) -> SuiteResult:
-    try:
-        fn = SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}") from None
-    return fn(samples, seed, steps)

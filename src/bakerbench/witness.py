@@ -127,6 +127,14 @@ def _solve_branch(a: complex, k: int) -> complex | None:
     return zeta
 
 
+def branch_range(c: complex, m: int, first_branch: int = DEFAULT_FIRST_BRANCH) -> range:
+    """The branch indices find_witnesses(c, m, first_branch) may try: 1..m
+    for the exact family c = 3/4, else first_branch..first_branch + 4m + 8."""
+    if complex(c) == 0.75:
+        return range(1, m + 1)
+    return range(first_branch, first_branch + 4 * m + 9)
+
+
 def find_witnesses(
     c: complex, m: int, first_branch: int = DEFAULT_FIRST_BRANCH
 ) -> WitnessSequence:
@@ -142,37 +150,30 @@ def find_witnesses(
     if m < 1:
         raise ValueError("witness count must be >= 1")
     c = complex(c)
-    if c == 0.75:
-        branches = tuple(range(1, m + 1))
-        zetas = tuple(complex(0.0, TAU * k / 3.0) for k in branches)
-        return WitnessSequence(
-            target=c,
-            branches=branches,
-            zetas=zetas,
-            residuals=tuple(abs(h_eval(z) - c) for z in zetas),
-            moduli=tuple(abs(z) for z in zetas),
-        )
-
-    a = 4 * c - 3
     branches: list[int] = []
     zetas: list[complex] = []
+    residuals: list[float] = []
     failed: list[int] = []
-    k = first_branch
-    last_branch = first_branch + 4 * m + 8
-    while len(zetas) < m and k <= last_branch:
-        zeta = _solve_branch(a, k)
-        ok = zeta is not None
-        if ok:
+    if c == 0.75:
+        branches = list(branch_range(c, m))
+        zetas = [complex(0.0, TAU * k / 3.0) for k in branches]
+        residuals = [abs(h_eval(z) - c) for z in zetas]
+    else:
+        a = 4 * c - 3
+        for k in branch_range(c, m, first_branch):
+            zeta = _solve_branch(a, k)
             try:
-                ok = abs(h_eval(zeta) - c) < RESIDUAL_TOL
+                res = math.inf if zeta is None else abs(h_eval(zeta) - c)
             except OverflowSignal:
-                ok = False
-        if ok and (not zetas or abs(zeta) > abs(zetas[-1])):
-            branches.append(k)
-            zetas.append(zeta)
-        else:
-            failed.append(k)
-        k += 1
+                res = math.inf
+            if res < RESIDUAL_TOL and (not zetas or abs(zeta) > abs(zetas[-1])):
+                branches.append(k)
+                zetas.append(zeta)
+                residuals.append(res)
+                if len(zetas) == m:
+                    break
+            else:
+                failed.append(k)
     if len(zetas) < m:
         raise SolverFailure(
             f"only {len(zetas)} of {m} branches converged for target {c}"
@@ -181,7 +182,7 @@ def find_witnesses(
         target=c,
         branches=tuple(branches),
         zetas=tuple(zetas),
-        residuals=tuple(abs(h_eval(z) - c) for z in zetas),
+        residuals=tuple(residuals),
         moduli=tuple(abs(z) for z in zetas),
         failed_branches=tuple(failed),
     )

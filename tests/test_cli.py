@@ -11,6 +11,7 @@ from csv_reference import reference_grid_csv
 import bakerbench
 from bakerbench import cli, render
 from bakerbench.cli import main
+from bakerbench.suites import SUITES
 
 
 def run_cli(argv, capsys):
@@ -20,6 +21,21 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def assert_usage_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def no_render(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("render_slice called")
+
+    monkeypatch.setattr(cli, "render_slice", fail)
 
 
 class TestIterate:
@@ -229,35 +245,22 @@ class TestRender:
 
 
 class TestOutputPaths:
-    @pytest.fixture
-    def no_render(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("render_slice called")
-
-        monkeypatch.setattr(cli, "render_slice", fail)
-
-    def assert_usage_error(self, argv, capsys):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
     def test_iterate_out_in_missing_directory(self, tmp_path, capsys):
-        self.assert_usage_error(
+        assert_usage_error(
             ["iterate", "--z", "0,0", "--w", "0,0", "--steps", "1",
              "--out", str(tmp_path / "missing" / "x.txt")], capsys)
 
     def test_render_empty_out_is_a_directory(self, no_render, tmp_path,
                                              monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        self.assert_usage_error(["render", "--out=", "--width", "4",
+        assert_usage_error(["render", "--out=", "--width", "4",
                                  "--height", "4"], capsys)
         assert list(tmp_path.iterdir()) == []
 
     def test_render_csv_out_in_missing_directory(self, no_render, tmp_path,
                                                  capsys):
         ppm = tmp_path / "img.ppm"
-        self.assert_usage_error(
+        assert_usage_error(
             ["render", "--width", "4", "--height", "4", "--out", str(ppm),
              "--csv-out", str(tmp_path / "missing" / "g.csv")], capsys)
         assert not ppm.exists()
@@ -273,10 +276,83 @@ class TestOutputPaths:
             return render.render_slice(*args, **kwargs)
 
         monkeypatch.setattr(cli, "render_slice", render_then_remove)
-        self.assert_usage_error(
+        assert_usage_error(
             ["render", "--width", "4", "--height", "4",
              "--out", str(tmp_path / "img.ppm"),
              "--csv-out", str(gone / "g.csv")], capsys)
+
+    def test_render_out_with_nul_byte(self, no_render, tmp_path, monkeypatch,
+                                      capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out": "a\0b"}))
+        assert_usage_error(["render", "--config", str(cfg), "--width", "4",
+                            "--height", "4"], capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "growth", "--seed", "-1"],
+        ["psh", "--center-z", "2,0", "--center-w", "4,0",
+         "--dir-z", "0,0", "--dir-w", "0,0"],
+    ])
+    def test_rejected_argument_is_usage_error(self, argv, capsys):
+        assert_usage_error(argv, capsys)
+
+    def test_non_finite_pixel_centre_is_usage_error(self, no_render, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert_usage_error(
+            ["render", "--width", "4", "--height", "2", "--budget", "3",
+             "--xmin=-1e308", "--xmax=1e308", "--csv-out", "g.csv"], capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--target", "1,0", "--count", "1", "--first-branch", "1" + "0" * 400],
+        ["--target", "1,0", "--count", "1", "--first-branch", str(-2**53 - 1)],
+        ["--target", "1,0", "--count", str(2**51), "--first-branch", "0"],
+        ["--target", "0.75,0", "--count", "100000000000000000000"],
+    ])
+    def test_branch_index_beyond_two_to_53_is_usage_error(self, argv,
+                                                          monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("find_witnesses called")
+
+        monkeypatch.setattr(cli, "find_witnesses", fail)
+        assert_usage_error(["witness", *argv], capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["--target", "1,0", "--count", "1", "--first-branch", str(-2**53)],
+        ["--target", "0.75,0", "--count", "1", "--first-branch", str(2**60)],
+    ])
+    def test_branch_index_at_two_to_53_is_accepted(self, argv, capsys):
+        code, _, _ = run_cli(["witness", *argv], capsys)
+        assert code in (0, 4)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["psh", "--center-z", "2,0", "--center-w", "4,0"], "submean_check"),
+        (["witness", "--target", "1,0", "--count", "2"], "find_witnesses"),
+    ])
+    def test_value_error_from_the_computation_is_numeric_failure(
+        self, argv, name, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(cli, name, fail)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4 and out == ""
+        assert err == "numeric failure: math domain error\n"
+
+    def test_suite_is_looked_up_when_verify_runs(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setitem(SUITES, "growth", fail)
+        code, out, err = run_cli(["verify", "--suite", "growth"], capsys)
+        assert code == 4 and out == ""
+        assert err == "numeric failure: math domain error\n"
 
 
 class TestPsh:

@@ -92,6 +92,26 @@ def wedge_slice(width=4, height=4):
     )
 
 
+class TestSliceSpec:
+    @pytest.mark.parametrize("dir_u, u_range", [
+        (PlanePoint(1 + 0j, 0j), (-1e308, 1e308)),  # u1 - u0 overflows
+        (PlanePoint(1e300 + 0j, 0j), (-1e10, 1e10)),  # u * dir_u overflows
+        (PlanePoint(0j, 2.2e300j), (0.0, 1e8)),  # in w, in the last column only
+    ])
+    def test_non_finite_pixel_centre_rejected(self, dir_u, u_range):
+        with pytest.raises(ValueError, match="non-finite centre"):
+            SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=dir_u,
+                      dir_v=PlanePoint(1j, 0j), u_range=u_range,
+                      v_range=(-1.0, 1.0), width=4, height=2)
+
+    def test_wide_finite_slice_accepted(self):
+        spec = SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=PlanePoint(1 + 0j, 0j),
+                         dir_v=PlanePoint(1j, 0j), u_range=(-2e307, 2e307),
+                         v_range=(-2e307, 2e307), width=4, height=2)
+        z, w = render._pixel_grid(spec, np.arange(2))
+        assert np.isfinite(z).all() and np.isfinite(w).all()
+
+
 class TestRenderSlice:
     def test_single_pixel(self):
         r = render_slice(single_pixel_spec(2 + 0j, 4 + 0j), 1)

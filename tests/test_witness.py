@@ -8,6 +8,7 @@ import pytest
 from bakerbench.witness import (
     SERIES_CUTOFF,
     SolverFailure,
+    branch_range,
     find_witnesses,
     first_coord_identity_residual,
     h_eval,
@@ -117,6 +118,14 @@ class TestFindWitnesses:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             find_witnesses(1 + 0j, 0)
+
+    @pytest.mark.parametrize("target, m, first", [
+        (0.75 + 0j, 4, 3), (1 + 0j, 2, -2), (2 + 1j, 5, 3), (0j, 3, 10)])
+    def test_branches_tried_lie_in_branch_range(self, target, m, first):
+        seq = find_witnesses(target, m, first_branch=first)
+        span = branch_range(target, m, first)
+        assert set(seq.branches + seq.failed_branches) <= set(span)
+        assert seq.branches[0] == span[0] or seq.failed_branches[0] == span[0]
 
 
 class TestImageDirection:
