@@ -5,8 +5,8 @@ deterministic given its flags (plus --seed for sampled suites).  Exit
 codes: 0 success, 2 usage error (an output file that cannot be written,
 a slice with a non-finite pixel centre and a branch index beyond 2**53
 included), 3 verification failure, 4 numeric failure (solver
-non-convergence, fatal overflow, too few usable samples, or any other
-ValueError from the computation).
+non-convergence, fatal overflow, too few usable samples, running out
+of memory, or any other ValueError from the computation).
 
 Values may also come from a JSON config file (--config), whose entries
 are parsed as flags written before the explicit ones, so explicit flags
@@ -401,6 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (SolverFailure, OverflowSignal, InsufficientSamples, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError:
+        print("numeric failure: out of memory", file=sys.stderr)
         return EXIT_NUMERIC
 
 

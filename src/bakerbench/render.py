@@ -5,13 +5,28 @@ lands in the wedge L (approximating the absorbing basin as the union of
 preimages of L under a finite iteration budget), by overflow, or as
 undetermined within the budget.  The classifier iterates ``core.step``
 over a compacted active set and tests ``domain.in_wedge`` on the carried
-margin.  The slice is cut into chunks of interleaved whole rows,
-classified independently by a pool of workers into disjoint output rows,
-so grids and emitted bytes are identical for any worker count.
+margin.  A seed leaves the active set early, as not_entered, once its
+state certifies that plain iteration would leave it there at the end of
+the budget (``_classify`` states the proof):
+- it lies in the far field R = {Re w > W, Re(z + w) > W}, W =
+  ``domain.FAR_FIELD``, which F maps into itself;
+- in R each step raises Re d by at most 1 + e^{-2W} + e^{-W}
+  (``domain.FAR_MARGIN_STEP``), and Re d_k plus the steps left times that
+  bound, with a rounding term of 8u(|Re d_k| + |threshold| + 2) per step,
+  stays at or below the threshold; rounding to nearest is monotone, so
+  the bound holds for the computed orbit too;
+- its components, which at most double plus 2 per step, stay below
+  2^1023 for the steps left.  Where they may not, the seed keeps
+  iterating, and plain iteration decides whether it overflows.
+Codes and steps are those of plain iteration.  The slice is cut into
+chunks of interleaved whole rows, classified independently by a pool of
+workers into disjoint output rows, so grids and emitted bytes are
+identical for any worker count.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PlanePoint, step
-from .domain import L_THRESHOLD, in_wedge
+from .domain import FAR_FIELD, FAR_MARGIN_STEP, L_THRESHOLD, in_wedge
 
 _CODE_NOT_ENTERED = 0
 _CODE_ENTERED = 1
@@ -107,16 +122,74 @@ def _pixel_grid(spec: SliceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return z.astype(np.complex128), w.astype(np.complex128)
 
 
+# Unit roundoff of double precision.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+# rem more steps keep every component below 2^(rem + 3) times the largest
+# component now; a state whose components are all below 2^(_SAFE_EXP - rem)
+# stays below 2^1023, a bit short of the largest double.
+_SAFE_EXP = 1020
+
+
+def _stays_out(
+    z: np.ndarray, w: np.ndarray, d: np.ndarray, rem: int, threshold: float
+) -> np.ndarray:
+    """Where the states (z, w, d) provably stay outside L_threshold and
+    finite for rem more steps of plain iteration: they lie in the far field
+    R of domain.FAR_FIELD, their margin stays at or below the threshold
+    under the per-step bound, and their components stay below the overflow
+    cap.  The bound and its rounding term are stated in _classify."""
+    cap = math.ldexp(1.0, _SAFE_EXP - rem)
+    if cap <= FAR_FIELD:  # no state of R is below the cap
+        return np.zeros(z.shape, dtype=bool)
+    out = w.real > FAR_FIELD
+    if not out.any():  # as on most steps: spare the bound's temporaries
+        return out
+    rounding = 8 * _UNIT_ROUNDOFF * (np.abs(d.real) + abs(threshold) + 2)
+    out &= d.real + rem * (FAR_MARGIN_STEP + rounding) <= threshold
+    with np.errstate(over="ignore"):
+        out &= z.real + w.real > FAR_FIELD
+    for x in (z, w, d):
+        out &= (np.abs(x.real) < cap) & (np.abs(x.imag) < cap)
+    return out
+
+
 def _classify(
     z: np.ndarray, w: np.ndarray, budget: int, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """classify_point on flat arrays of seeds, as (codes, steps) with steps
-    -1 where none applies.  Only undecided seeds are iterated: idx holds
-    their positions and (z, w, d) their states."""
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """classify_point on flat arrays of seeds, as (codes, steps, fast) with
+    steps -1 where none applies and fast the number of seeds fast-forwarded.
+    Only undecided seeds are iterated: idx holds their positions and
+    (z, w, d) their states.
+
+    After the step to state k, a seed is dropped as not_entered, its code
+    when plain iteration runs out the budget, once _stays_out proves that
+    the rem = budget - k steps left neither enter L nor overflow:
+    - It lies in the far field R = {Re w > W, Re(z + w) > W}, W =
+      domain.FAR_FIELD, which F maps into itself, since Re w' >= 2 Re w +
+      1 - e^{-2W} and Re(z' + w') > Re(z + w) + 2 Re w.  Its real parts are
+      compared as the step computes them.
+    - Each step raises Re d by 1 + Re e^{-2w} - Re e^{-(z+w)}, at most
+      FAR_MARGIN_STEP = 1 + e^{-2W} + e^{-W} in R, so Re d stays at or
+      below the threshold while Re d_k + rem * (FAR_MARGIN_STEP + r) does.
+    - Rounding to nearest is monotone, so the computed margins stay below
+      the same bound run in floating point.  The margin update rounds three
+      times per step, each time by at most u = 2^-53 times a magnitude
+      below |Re d_k| + |threshold| + 2 on a certified run; the rounding
+      term r = 8u(|Re d_k| + |threshold| + 2) covers these, the error of
+      exp and the rounding of the test itself.
+    - The overflow guard: per step |w| at most doubles plus 2, |z| grows
+      by at most |w| + 1 and |d| by at most 2.  So every component stays
+      below 2^(rem + 3) M, M the largest component now, and the seed is
+      dropped only if M < 2^(1020 - rem).  Elsewhere it keeps iterating:
+      where the bound reaches the largest double, plain iteration may end
+      in overflowed, as every far seed of w = 0.2 does at budget 2,000.
+    """
     codes = np.full(z.shape, _CODE_NOT_ENTERED, dtype=np.uint8)
     steps = np.full(z.shape, -1, dtype=np.int32)
     idx = np.arange(z.size)
     d = w - z
+    fast = 0
     for k in range(budget + 1):
         inside = in_wedge(z, w, d, threshold)
         if inside.any():
@@ -131,7 +204,12 @@ def _classify(
             codes[idx[~ok]] = _CODE_OVERFLOWED
             steps[idx[~ok]] = k
             idx, z, w, d = idx[ok], z[ok], w[ok], d[ok]
-    return codes, steps
+        settled = _stays_out(z, w, d, budget - k - 1, threshold)
+        if settled.any():
+            fast += int(settled.sum())
+            keep = ~settled
+            idx, z, w, d = idx[keep], z[keep], w[keep], d[keep]
+    return codes, steps, fast
 
 
 def classify_point(
@@ -142,7 +220,7 @@ def classify_point(
     was the last finite one."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    codes, steps = _classify(*p.arrays(), budget, threshold)
+    codes, steps, _ = _classify(*p.arrays(), budget, threshold)
     return _pixel_class(int(codes[0]), int(steps[0]))
 
 
@@ -153,6 +231,9 @@ class RasterResult:
     threshold: float
     codes: np.ndarray = field(repr=False)  # (height, width) uint8
     steps: np.ndarray = field(repr=False)  # (height, width) int32, -1 = none
+    # Pixels that _classify dropped as provably not_entered before the end
+    # of the budget; not part of stats.
+    fast_forwarded: int
 
     def pixel(self, i: int, j: int) -> PixelClass:
         return _pixel_class(int(self.codes[j, i]), int(self.steps[j, i]))
@@ -177,16 +258,17 @@ def render_slice(
     codes = np.empty((spec.height, spec.width), dtype=np.uint8)
     steps = np.empty((spec.height, spec.width), dtype=np.int32)
 
-    def run(rows: np.ndarray) -> None:
+    def run(rows: np.ndarray) -> int:
         z, w = _pixel_grid(spec, rows)
-        c, s = _classify(z.ravel(), w.ravel(), budget, threshold)
+        c, s, fast = _classify(z.ravel(), w.ravel(), budget, threshold)
         codes[rows] = c.reshape(rows.size, spec.width)
         steps[rows] = s.reshape(rows.size, spec.width)
+        return fast
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, _row_chunks(spec)))
+        fast = sum(pool.map(run, _row_chunks(spec)))
     return RasterResult(spec=spec, budget=budget, threshold=threshold,
-                        codes=codes, steps=steps)
+                        codes=codes, steps=steps, fast_forwarded=fast)
 
 
 @dataclass(frozen=True)

@@ -354,6 +354,24 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert err == "numeric failure: math domain error\n"
 
+    @pytest.mark.parametrize("argv, patch", [
+        (["render", "--width", "4", "--height", "4"],
+         lambda mp, fail: mp.setattr(cli, "render_slice", fail)),
+        (["verify", "--suite", "growth"],
+         lambda mp, fail: mp.setitem(SUITES, "growth", fail)),
+    ])
+    def test_memory_error_is_numeric_failure(self, argv, patch, tmp_path,
+                                             monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 TiB")
+
+        monkeypatch.chdir(tmp_path)
+        patch(monkeypatch, fail)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 4 and out == ""
+        assert err == "numeric failure: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPsh:
     def test_probe_report(self, capsys):
