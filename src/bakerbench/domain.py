@@ -27,9 +27,11 @@ MARGIN_STEP = 1.0 - 2.0 * math.exp(-2.0)
 # The far field R = {Re w > FAR_FIELD, Re(z + w) > FAR_FIELD} is forward
 # invariant (Re w' >= 2 Re w + 1 - e^{-2 Re w}), and there the per-step
 # increase 1 + Re e^{-2w} - Re e^{-(z+w)} of Re w - Re z is at most
-# FAR_MARGIN_STEP = 1 + e^{-2 FAR_FIELD} + e^{-FAR_FIELD}.
+# FAR_MARGIN_STEP = 1 + e^{-2 FAR_FIELD} + e^{-FAR_FIELD} and at least
+# FAR_MARGIN_STEP_MIN = 1 - e^{-2 FAR_FIELD} - e^{-FAR_FIELD}.
 FAR_FIELD = 10.0
 FAR_MARGIN_STEP = 1.0 + math.exp(-2.0 * FAR_FIELD) + math.exp(-FAR_FIELD)
+FAR_MARGIN_STEP_MIN = 1.0 - math.exp(-2.0 * FAR_FIELD) - math.exp(-FAR_FIELD)
 
 
 def in_wedge(z: np.ndarray, w: np.ndarray, d: np.ndarray, alpha) -> np.ndarray:

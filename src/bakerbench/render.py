@@ -5,19 +5,26 @@ lands in the wedge L (approximating the absorbing basin as the union of
 preimages of L under a finite iteration budget), by overflow, or as
 undetermined within the budget.  The classifier iterates ``core.step``
 over a compacted active set and tests ``domain.in_wedge`` on the carried
-margin.  A seed leaves the active set early, as not_entered, once its
-state certifies that plain iteration would leave it there at the end of
-the budget (``_classify`` states the proof):
+margin.  A seed leaves the active set early once its state certifies the
+class that plain iteration gives it at the end of the budget
+(``_classify`` states the proof):
 - it lies in the far field R = {Re w > W, Re(z + w) > W}, W =
   ``domain.FAR_FIELD``, which F maps into itself;
 - in R each step raises Re d by at most 1 + e^{-2W} + e^{-W}
-  (``domain.FAR_MARGIN_STEP``), and Re d_k plus the steps left times that
-  bound, with a rounding term of 8u(|Re d_k| + |threshold| + 2) per step,
-  stays at or below the threshold; rounding to nearest is monotone, so
-  the bound holds for the computed orbit too;
+  (``domain.FAR_MARGIN_STEP``) and by at least 1 - e^{-2W} - e^{-W}
+  (``domain.FAR_MARGIN_STEP_MIN``), each widened by a rounding term of
+  8u(|Re d_k| + |threshold| + 2) per step; rounding to nearest is
+  monotone, so both bounds hold for the computed orbit too;
+- so a seed whose margin stays at or below the threshold for the steps
+  left under the upper bound is not_entered, and a seed whose margin
+  crosses the threshold at the same step m under both bounds enters L at
+  that step, m steps on: one step in R already puts Re z and Re w above
+  1.  Where the two bounds cross at different steps, the seed keeps
+  iterating and is tested again after the next step;
 - its components, which at most double plus 2 per step, stay below
-  2^1023 for the steps left.  Where they may not, the seed keeps
-  iterating, and plain iteration decides whether it overflows.
+  2^1023 for the steps its class needs: the steps left, or m.  Where
+  they may not, the seed keeps iterating, and plain iteration decides
+  whether it overflows.
 Codes and steps are those of plain iteration.  The slice is cut into
 chunks of interleaved whole rows, classified independently by a pool of
 workers into disjoint output rows, so grids and emitted bytes are
@@ -34,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PlanePoint, step
-from .domain import FAR_FIELD, FAR_MARGIN_STEP, L_THRESHOLD, in_wedge
+from .domain import (FAR_FIELD, FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD,
+                     in_wedge)
 
 _CODE_NOT_ENTERED = 0
 _CODE_ENTERED = 1
@@ -91,14 +99,33 @@ class SliceSpec:
                     raise ValueError(f"pixel ({i}, {j}) has a non-finite centre") from None
 
     def pixel_center(self, i: int, j: int) -> PlanePoint:
-        u0, u1 = self.u_range
-        v0, v1 = self.v_range
-        u = u0 + (i + 0.5) * (u1 - u0) / self.width
-        v = v0 + (j + 0.5) * (v1 - v0) / self.height
-        return PlanePoint(
-            self.base.z + u * self.dir_u.z + v * self.dir_v.z,
-            self.base.w + u * self.dir_u.w + v * self.dir_v.w,
-        )
+        z, w = _centres(self, np.array([i]), np.array([j]))
+        return PlanePoint(complex(z[0]), complex(w[0]))
+
+
+def _axis(bounds: tuple[float, float], n: int, i: np.ndarray) -> np.ndarray:
+    """Centres lo + (i + 0.5)(hi - lo)/n of the pixels i of an axis of n
+    pixels over bounds = (lo, hi).  Where the product (i + 0.5)(hi - lo)
+    overflows though the centre need not, it is formed at 2^-64 scale and
+    scaled back after the division; scaling by a power of two is exact, so
+    every other centre keeps the bits of the plain formula."""
+    lo, hi = bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = (i + 0.5) * (hi - lo)
+        scaled = (i + 0.5) * ((hi - lo) * 2.0**-64) / n * 2.0**64
+        return lo + np.where(np.isinf(t), scaled, t / n)
+
+
+def _centres(spec: SliceSpec, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centres (z, w) of the pixels at columns i and rows j, broadcast
+    together, as complex128 arrays; non-finite where the slice leaves
+    double range."""
+    u = _axis(spec.u_range, spec.width, i)
+    v = _axis(spec.v_range, spec.height, j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = spec.base.z + u * spec.dir_u.z + v * spec.dir_v.z
+        w = spec.base.w + u * spec.dir_u.w + v * spec.dir_v.w
+    return z.astype(np.complex128), w.astype(np.complex128)
 
 
 def _row_chunks(spec: SliceSpec) -> list[np.ndarray]:
@@ -112,84 +139,138 @@ def _row_chunks(spec: SliceSpec) -> list[np.ndarray]:
 
 def _pixel_grid(spec: SliceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centres (z, w) of the pixels in the given rows, as (len(rows), width)
-    arrays, by the formula of SliceSpec.pixel_center."""
-    u0, u1 = spec.u_range
-    v0, v1 = spec.v_range
-    u = u0 + (np.arange(spec.width) + 0.5) * (u1 - u0) / spec.width
-    v = v0 + (rows[:, None] + 0.5) * (v1 - v0) / spec.height
-    z = spec.base.z + u * spec.dir_u.z + v * spec.dir_v.z
-    w = spec.base.w + u * spec.dir_u.w + v * spec.dir_v.w
-    return z.astype(np.complex128), w.astype(np.complex128)
+    arrays."""
+    return _centres(spec, np.arange(spec.width), rows[:, None])
 
 
 # Unit roundoff of double precision.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
-# rem more steps keep every component below 2^(rem + 3) times the largest
-# component now; a state whose components are all below 2^(_SAFE_EXP - rem)
+# n more steps keep every component below 2^(n + 3) times the largest
+# component now; a state whose components are all below 2^(_SAFE_EXP - n)
 # stays below 2^1023, a bit short of the largest double.
 _SAFE_EXP = 1020
 
+# Every state of R has a component above FAR_FIELD > 2^3, so no class that
+# needs the overflow guard for more than _HORIZON steps is certified.
+_HORIZON = _SAFE_EXP - 4
 
-def _stays_out(
+
+def _certify(
     z: np.ndarray, w: np.ndarray, d: np.ndarray, rem: int, threshold: float
-) -> np.ndarray:
-    """Where the states (z, w, d) provably stay outside L_threshold and
-    finite for rem more steps of plain iteration: they lie in the far field
-    R of domain.FAR_FIELD, their margin stays at or below the threshold
-    under the per-step bound, and their components stay below the overflow
-    cap.  The bound and its rounding term are stated in _classify."""
-    cap = math.ldexp(1.0, _SAFE_EXP - rem)
-    if cap <= FAR_FIELD:  # no state of R is below the cap
-        return np.zeros(z.shape, dtype=bool)
-    out = w.real > FAR_FIELD
-    if not out.any():  # as on most steps: spare the bound's temporaries
-        return out
-    rounding = 8 * _UNIT_ROUNDOFF * (np.abs(d.real) + abs(threshold) + 2)
-    out &= d.real + rem * (FAR_MARGIN_STEP + rounding) <= threshold
-    with np.errstate(over="ignore"):
-        out &= z.real + w.real > FAR_FIELD
-    for x in (z, w, d):
-        out &= (np.abs(x.real) < cap) & (np.abs(x.imag) < cap)
-    return out
+) -> np.ndarray | None:
+    """The classes that plain iteration gives the states (z, w, d), which lie
+    outside L_threshold and have rem steps left, where the far-field
+    certificate of _classify settles them: per state, m in 1..rem where it
+    enters L_threshold after exactly m steps, -1 where it stays outside
+    L_threshold and finite for all rem steps, and 0 where neither is
+    certified.  None where no state is settled.
+
+    With more than _HORIZON steps left no state is certified to stay out,
+    and the entries left to certify are not looked for: plain iteration
+    finds them at a lower cost there, where the seeds that iterate until
+    they overflow would be tested at every step."""
+    if rem > _HORIZON:
+        return None
+    far = w.real > FAR_FIELD
+    if not far.any():  # as on most steps: spare the bound's temporaries
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Staying out needs |Re d| below the overflow cap of rem steps, and
+        # entering needs m <= rem, so Re d + rem > threshold; the seeds
+        # that iterate until they overflow, with huge components, pass
+        # neither and spare the bound.
+        dr = d.real
+        far &= (np.abs(dr) < math.ldexp(1.0, _SAFE_EXP - rem)) | (dr + rem > threshold)
+        far &= z.real + w.real > FAR_FIELD
+        i = np.flatnonzero(far)
+        if not i.size:
+            return None
+        z, w, d = z[i], w[i], d[i]
+        dr = d.real
+        rounding = 8 * _UNIT_ROUNDOFF * (np.abs(dr) + abs(threshold) + 2)
+        hi = FAR_MARGIN_STEP + rounding
+        out = dr + rem * hi <= threshold
+        # The first step at which the upper bound may lift Re d above the
+        # threshold; entry there is certified where the lower bound does.
+        m = np.maximum(np.floor((threshold - dr) / hi) + 1, 1)
+        enter = ((dr + m * (FAR_MARGIN_STEP_MIN - rounding) > threshold)
+                 & ((m == 1) | (dr + (m - 1) * hi <= threshold)) & (m <= rem))
+        # The overflow guard, for the steps each class needs: rem to stay
+        # out, m to enter.  As m <= rem, only an entry that fails it for
+        # rem steps needs its own cap.
+        big = np.abs(z.real)
+        for x in (z.imag, w.real, w.imag, d.real, d.imag):
+            np.maximum(big, np.abs(x), out=big)
+        safe = big < math.ldexp(1.0, _SAFE_EXP - rem)
+        late = enter & ~safe
+        if late.any():
+            safe[late] = big[late] < np.ldexp(1.0, _SAFE_EXP - m[late].astype(np.int64))
+    settled = (out | enter) & safe
+    if not settled.any():
+        return None
+    outcome = np.zeros(far.shape, dtype=np.int64)
+    outcome[i[settled]] = np.where(enter, m, -1)[settled]
+    return outcome
 
 
 def _classify(
     z: np.ndarray, w: np.ndarray, budget: int, threshold: float
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """classify_point on flat arrays of seeds, as (codes, steps, fast) with
-    steps -1 where none applies and fast the number of seeds fast-forwarded.
-    Only undecided seeds are iterated: idx holds their positions and
-    (z, w, d) their states.
+) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+    """classify_point on flat arrays of seeds, as (codes, steps, fast,
+    entries, evals): steps is -1 where none applies, fast counts the seeds
+    settled as not_entered before the end of the budget, entries the seeds
+    whose entry step the certificate gave, and evals the map evaluations,
+    the active set summed over the steps.  Only undecided seeds are
+    iterated: idx holds their positions and (z, w, d) their states.
 
-    After the step to state k, a seed is dropped as not_entered, its code
-    when plain iteration runs out the budget, once _stays_out proves that
-    the rem = budget - k steps left neither enter L nor overflow:
+    Once the membership test of state k has removed the seeds in L, _certify
+    settles a seed with rem = budget - k steps left when the far-field
+    bound fixes its class:
     - It lies in the far field R = {Re w > W, Re(z + w) > W}, W =
       domain.FAR_FIELD, which F maps into itself, since Re w' >= 2 Re w +
       1 - e^{-2W} and Re(z' + w') > Re(z + w) + 2 Re w.  Its real parts are
       compared as the step computes them.
-    - Each step raises Re d by 1 + Re e^{-2w} - Re e^{-(z+w)}, at most
-      FAR_MARGIN_STEP = 1 + e^{-2W} + e^{-W} in R, so Re d stays at or
-      below the threshold while Re d_k + rem * (FAR_MARGIN_STEP + r) does.
-    - Rounding to nearest is monotone, so the computed margins stay below
-      the same bound run in floating point.  The margin update rounds three
-      times per step, each time by at most u = 2^-53 times a magnitude
-      below |Re d_k| + |threshold| + 2 on a certified run; the rounding
-      term r = 8u(|Re d_k| + |threshold| + 2) covers these, the error of
-      exp and the rounding of the test itself.
+    - Each step raises Re d by 1 + Re e^{-2w} - Re e^{-(z+w)}, which in R
+      lies between lo = FAR_MARGIN_STEP_MIN - r and hi = FAR_MARGIN_STEP +
+      r, FAR_MARGIN_STEP_MIN = 1 - e^{-2W} - e^{-W} and FAR_MARGIN_STEP =
+      1 + e^{-2W} + e^{-W}, with a rounding term r per step.  So Re d_{k+j}
+      lies between Re d_k + j lo and Re d_k + j hi.
+    - Rounding to nearest is monotone, so the computed margins stay between
+      the same bounds run in floating point.  The margin update rounds
+      three times per step, each time by at most u = 2^-53 times a
+      magnitude below |Re d_k| + |threshold| + 2 on a certified run; the
+      rounding term r = 8u(|Re d_k| + |threshold| + 2) covers these, the
+      error of exp and the rounding of the tests themselves.
+    - not_entered: Re d_k + rem hi <= threshold, so Re d stays at or below
+      the threshold for all rem steps and the seed never enters L.
+    - entered at step k + m: m = max(1, floor((threshold - Re d_k)/hi) + 1)
+      <= rem, the seed is not in L now, Re d_k + (m - 1) hi <= threshold
+      unless m = 1, so it stays out of L for the m - 1 steps after, and
+      Re d_k + m lo > threshold, so Re d_{k+m} is above the threshold.
+      Rounding can lift the quotient to the next integer, which the
+      (m - 1) hi test catches.  Entry also needs Re z and Re w above 1,
+      which one step in R gives: Re z' >= Re s - e^{-Re s} > W - e^{-W} >
+      1, s = z + w, and Re w' > 2W.  Where the bounds disagree, at margins
+      whose distance to the threshold lies within m (e^{-W} + e^{-2W} + r)
+      of an integer, the seed keeps iterating and is tested again after
+      the next step.
     - The overflow guard: per step |w| at most doubles plus 2, |z| grows
-      by at most |w| + 1 and |d| by at most 2.  So every component stays
-      below 2^(rem + 3) M, M the largest component now, and the seed is
-      dropped only if M < 2^(1020 - rem).  Elsewhere it keeps iterating:
-      where the bound reaches the largest double, plain iteration may end
-      in overflowed, as every far seed of w = 0.2 does at budget 2,000.
+      by at most |w| + 1 and |d| by at most 2.  So after n steps every
+      component is below 2^(n + 3) M, M the largest component now, and a
+      class is certified only if M < 2^(1020 - n), for the n steps it
+      needs: rem to stay out, m to enter.  Elsewhere the seed keeps
+      iterating: where the bound reaches the largest double, plain
+      iteration may end in overflowed, as every far seed of w = 0.2 does
+      at budget 2,000.  No state of R passes the guard for more than
+      _HORIZON = 1,016 steps, so with more steps left only plain iteration
+      runs.
     """
     codes = np.full(z.shape, _CODE_NOT_ENTERED, dtype=np.uint8)
     steps = np.full(z.shape, -1, dtype=np.int32)
     idx = np.arange(z.size)
     d = w - z
-    fast = 0
+    fast = entries = evals = 0
     for k in range(budget + 1):
         inside = in_wedge(z, w, d, threshold)
         if inside.any():
@@ -199,17 +280,22 @@ def _classify(
             idx, z, w, d = idx[out], z[out], w[out], d[out]
         if k == budget or not idx.size:
             break
+        m = _certify(z, w, d, budget - k, threshold)
+        if m is not None:
+            enter = m > 0
+            codes[idx[enter]] = _CODE_ENTERED
+            steps[idx[enter]] = k + m[enter]
+            entries += int(enter.sum())
+            fast += int((m < 0).sum())
+            keep = m == 0
+            idx, z, w, d = idx[keep], z[keep], w[keep], d[keep]
+        evals += idx.size
         z, w, d, ok = step(z, w, d)
         if not ok.all():
             codes[idx[~ok]] = _CODE_OVERFLOWED
             steps[idx[~ok]] = k
             idx, z, w, d = idx[ok], z[ok], w[ok], d[ok]
-        settled = _stays_out(z, w, d, budget - k - 1, threshold)
-        if settled.any():
-            fast += int(settled.sum())
-            keep = ~settled
-            idx, z, w, d = idx[keep], z[keep], w[keep], d[keep]
-    return codes, steps, fast
+    return codes, steps, fast, entries, evals
 
 
 def classify_point(
@@ -220,7 +306,7 @@ def classify_point(
     was the last finite one."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    codes, steps, _ = _classify(*p.arrays(), budget, threshold)
+    codes, steps, *_ = _classify(*p.arrays(), budget, threshold)
     return _pixel_class(int(codes[0]), int(steps[0]))
 
 
@@ -231,9 +317,13 @@ class RasterResult:
     threshold: float
     codes: np.ndarray = field(repr=False)  # (height, width) uint8
     steps: np.ndarray = field(repr=False)  # (height, width) int32, -1 = none
-    # Pixels that _classify dropped as provably not_entered before the end
-    # of the budget; not part of stats.
+    # Counts of _classify, summed over the chunks; not part of stats.
+    # Pixels dropped as provably not_entered before the end of the budget:
     fast_forwarded: int
+    # Pixels whose entry step the far-field certificate gave:
+    certified_entries: int
+    # Map evaluations, the active set summed over the steps:
+    map_evals: int
 
     def pixel(self, i: int, j: int) -> PixelClass:
         return _pixel_class(int(self.codes[j, i]), int(self.steps[j, i]))
@@ -258,17 +348,18 @@ def render_slice(
     codes = np.empty((spec.height, spec.width), dtype=np.uint8)
     steps = np.empty((spec.height, spec.width), dtype=np.int32)
 
-    def run(rows: np.ndarray) -> int:
+    def run(rows: np.ndarray) -> list[int]:
         z, w = _pixel_grid(spec, rows)
-        c, s, fast = _classify(z.ravel(), w.ravel(), budget, threshold)
+        c, s, *counts = _classify(z.ravel(), w.ravel(), budget, threshold)
         codes[rows] = c.reshape(rows.size, spec.width)
         steps[rows] = s.reshape(rows.size, spec.width)
-        return fast
+        return counts
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        fast = sum(pool.map(run, _row_chunks(spec)))
+        fast, entries, evals = map(sum, zip(*pool.map(run, _row_chunks(spec))))
     return RasterResult(spec=spec, budget=budget, threshold=threshold,
-                        codes=codes, steps=steps, fast_forwarded=fast)
+                        codes=codes, steps=steps, fast_forwarded=fast,
+                        certified_entries=entries, map_evals=evals)
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,36 @@ class TestSliceSpec:
         z, w = render._pixel_grid(spec, np.arange(2))
         assert np.isfinite(z).all() and np.isfinite(w).all()
 
+    def test_centres_past_an_overflowing_product_accepted(self):
+        # (i + 0.5)(u1 - u0) = 3.5 * 1.6e308 overflows, the centre does not
+        spec = SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=PlanePoint(1 + 0j, 0j),
+                         dir_v=PlanePoint(1j, 0j), u_range=(-8e307, 8e307),
+                         v_range=(-1.0, 1.0), width=4, height=2)
+        z, w = render._pixel_grid(spec, np.arange(2))
+        assert np.isfinite(z).all() and np.isfinite(w).all()
+        assert z[0].real.tolist() == pytest.approx([-6e307, -2e307, 2e307, 6e307], rel=1e-15)
+        assert spec.pixel_center(3, 1) == PlanePoint(complex(z[1, 3]), complex(w[1, 3]))
+
+    @pytest.mark.parametrize("u_range", [
+        (-5.3, 4.1),
+        (0.0, 3e-310),  # a span that a 2^-64 scale would flush to zero
+    ])
+    def test_centres_keep_the_bits_of_the_plain_formula(self, u_range):
+        (u0, u1), (v0, v1) = u_range, (-2.7, 3.9)
+        spec = SliceSpec(base=PlanePoint(0j, 4 + 0j),
+                         dir_u=PlanePoint(1 + 0.5j, 0.125 + 0j),
+                         dir_v=PlanePoint(1j, -0.75 + 0j), u_range=u_range,
+                         v_range=(v0, v1), width=7, height=5)
+        z, w = render._pixel_grid(spec, np.arange(5))
+        for j in range(5):
+            for i in range(7):
+                u = u0 + (i + 0.5) * (u1 - u0) / 7
+                v = v0 + (j + 0.5) * (v1 - v0) / 5
+                assert z[j, i] == spec.base.z + u * spec.dir_u.z + v * spec.dir_v.z
+                assert w[j, i] == spec.base.w + u * spec.dir_u.w + v * spec.dir_v.w
+                assert spec.pixel_center(i, j) == PlanePoint(complex(z[j, i]),
+                                                             complex(w[j, i]))
+
 
 class TestRenderSlice:
     def test_single_pixel(self):
