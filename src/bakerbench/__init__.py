@@ -11,16 +11,10 @@ __version__ = "0.1.0"
 
 from .core import EXP_MAX, OrbitRecord, OverflowSignal, PlanePoint, apply_f, orbit, safe_exp
 from .domain import (
-    GrowthReport,
-    InvarianceReport,
     RatioProfile,
-    check_growth,
-    check_invariance,
     in_L,
-    in_L_alpha,
     ratio_profile,
     sup_alpha,
-    telescoping_residual,
 )
 from .psh import InsufficientSamples, ProbeSpec, SubmeanReport, submean_check, u_n, u_profile
 from .render import (
@@ -31,7 +25,6 @@ from .render import (
     classify_point,
     grid_csv_blocks,
     render_slice,
-    write_grid_csv,
     write_ppm,
 )
 from .witness import (
@@ -46,9 +39,7 @@ from .witness import (
 
 __all__ = [
     "EXP_MAX",
-    "GrowthReport",
     "InsufficientSamples",
-    "InvarianceReport",
     "OrbitRecord",
     "OverflowSignal",
     "PaletteSpec",
@@ -63,8 +54,6 @@ __all__ = [
     "SubmeanReport",
     "WitnessSequence",
     "apply_f",
-    "check_growth",
-    "check_invariance",
     "classify_point",
     "find_witnesses",
     "first_coord_identity_residual",
@@ -72,16 +61,13 @@ __all__ = [
     "h_eval",
     "image_direction",
     "in_L",
-    "in_L_alpha",
     "orbit",
     "ratio_profile",
     "render_slice",
     "safe_exp",
     "submean_check",
     "sup_alpha",
-    "telescoping_residual",
     "u_n",
     "u_profile",
-    "write_grid_csv",
     "write_ppm",
 ]

@@ -5,7 +5,7 @@ L = union of L_alpha over alpha > 1.  The checks here verify, on concrete
 double-precision orbits, that L_alpha is forward invariant, that both
 coordinates obey the linear growth bounds, and that the telescoping
 identity for w_n - z_n holds up to rounding.  Each check runs on arrays
-of seeds; the functions on one PlanePoint are 1-element calls of them.
+of seeds; in_L is a 1-element call of in_wedge.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ def in_wedge(z: np.ndarray, w: np.ndarray, d: np.ndarray, alpha) -> np.ndarray:
     return (d.real > alpha) & (z.real > 1.0) & (w.real > 1.0)
 
 
-def in_L_alpha(p: PlanePoint, alpha: float) -> bool:
-    """Strict membership test for the wedge L_alpha (alpha > 0), on the
-    margin of p; along an orbit, test the carried margin with in_wedge."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return in_L(p, alpha)
-
-
 def sup_alpha(p: PlanePoint) -> float | None:
     """Supremum of admissible alpha for p, or None if Re z > 1, Re w > 1 fails.
 
@@ -67,92 +59,34 @@ def in_L(p: PlanePoint, threshold: float = L_THRESHOLD) -> bool:
 
 def invariance(
     z: np.ndarray, w: np.ndarray, alpha: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """L_alpha membership along the orbits of the seeds (z, w), one alpha per
-    seed: per seed, the first step k <= n outside L_alpha (-1 if none), the
-    least margin minus alpha, and the last finite step."""
+    seed: per seed, the first step k <= n outside L_alpha (-1 if none) and
+    the least margin minus alpha.  An orbit that overflows before step n is
+    checked over its finite prefix."""
     first = np.full(z.shape, -1)
     min_margin = np.full(z.shape, np.inf)
-    last = np.zeros(z.shape, dtype=int)
     for k, idx, zk, wk, dk in orbits(z, w, n):
         a = alpha[idx]
         min_margin[idx] = np.minimum(min_margin[idx], dk.real - a)
         outside = idx[~in_wedge(zk, wk, dk, a) & (first[idx] < 0)]
         first[outside] = k
-        last[idx] = k
-    return first, min_margin, last
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    seed: PlanePoint
-    alpha: float
-    steps_checked: int
-    all_inside: bool
-    first_violation: int | None
-    min_margin: float
-
-
-def check_invariance(seed: PlanePoint, alpha: float, n: int) -> InvarianceReport:
-    """Test L_alpha membership along the orbit of seed at every step up to n.
-
-    If the orbit overflows before step n, steps_checked records the last
-    finite step; by then every coordinate exceeds double range and the
-    finite prefix is all that can be witnessed.
-    """
-    if not in_L_alpha(seed, alpha):
-        raise ValueError("seed is not in L_alpha")
-    first, min_margin, last = invariance(*seed.arrays(), np.array([alpha]), n)
-    return InvarianceReport(
-        seed=seed,
-        alpha=alpha,
-        steps_checked=int(last[0]),
-        all_inside=bool(first[0] < 0),
-        first_violation=int(first[0]) if first[0] >= 0 else None,
-        min_margin=float(min_margin[0]),
-    )
+    return first, min_margin
 
 
 def growth(
     z: np.ndarray, w: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Least slack of Re w_k > 2 Re w_0 + k/2 and of Re z_k > Re z_0 + k/2
-    over k = 1..n, per seed (inf where no step is finite), and the last
-    finite step."""
+    over the finite steps k = 1..n, per seed (inf where no step is
+    finite)."""
     min_w = np.full(z.shape, np.inf)
     min_z = np.full(z.shape, np.inf)
-    last = np.zeros(z.shape, dtype=int)
     for k, idx, zk, wk, _ in orbits(z, w, n):
         if k:
             min_w[idx] = np.minimum(min_w[idx], wk.real - 2.0 * w.real[idx] - k / 2.0)
             min_z[idx] = np.minimum(min_z[idx], zk.real - z.real[idx] - k / 2.0)
-        last[idx] = k
-    return min_w, min_z, last
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    seed: PlanePoint
-    steps_checked: int
-    w_bound_ok: bool
-    z_bound_ok: bool
-    min_w_slack: float
-    min_z_slack: float
-
-
-def check_growth(seed: PlanePoint, n: int) -> GrowthReport:
-    """Verify Re w_k > 2 Re w_0 + k/2 and Re z_k > Re z_0 + k/2 for k <= n."""
-    if not in_L(seed):
-        raise ValueError("seed is not in L")
-    min_w, min_z, last = growth(*seed.arrays(), n)
-    return GrowthReport(
-        seed=seed,
-        steps_checked=int(last[0]),
-        w_bound_ok=bool(min_w[0] > 0),
-        z_bound_ok=bool(min_z[0] > 0),
-        min_w_slack=float(min_w[0]),
-        min_z_slack=float(min_z[0]),
-    )
+    return min_w, min_z
 
 
 def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -183,11 +117,6 @@ def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     if np.isnan(lhs).any():
         raise OverflowSignal(f"orbit overflowed before step {n}")
     return modulus(lhs - rhs) / np.maximum(1.0, modulus(lhs))
-
-
-def telescoping_residual(seed: PlanePoint, n: int) -> float:
-    """telescoping_residuals for one seed."""
-    return float(telescoping_residuals(*seed.arrays(), n)[0])
 
 
 @dataclass(frozen=True)

@@ -121,10 +121,13 @@ def submean_check(
     theta = 2.0 * math.pi * np.arange(probe.samples) / probe.samples
     lam = np.concatenate(([0j], probe.radius * np.exp(1j * theta)))
     if func is None:
+        # A circle point may leave double range; it is then excluded.
+        with np.errstate(over="ignore", invalid="ignore"):
+            z0 = probe.center.z + lam * probe.direction.z
+            w0 = probe.center.w + lam * probe.direction.w
         # u_n on the line; NaN where the orbit overflows before step n
         values = np.full(lam.shape, np.nan)
-        for k, idx, z, w, _ in orbits(probe.center.z + lam * probe.direction.z,
-                                      probe.center.w + lam * probe.direction.w, n):
+        for k, idx, z, w, _ in orbits(z0, w0, n):
             if k == n:
                 values[idx] = u_value(z, w)
     else:

@@ -5,30 +5,13 @@ lands in the wedge L (approximating the absorbing basin as the union of
 preimages of L under a finite iteration budget), by overflow, or as
 undetermined within the budget.  The classifier iterates ``core.step``
 over a compacted active set and tests ``domain.in_wedge`` on the carried
-margin.  A seed leaves the active set early once its state certifies the
-class that plain iteration gives it at the end of the budget
-(``_classify`` states the proof):
-- it lies in the far field R = {Re w > W, Re(z + w) > W}, W =
-  ``domain.FAR_FIELD``, which F maps into itself;
-- in R each step raises Re d by at most 1 + e^{-2W} + e^{-W}
-  (``domain.FAR_MARGIN_STEP``) and by at least 1 - e^{-2W} - e^{-W}
-  (``domain.FAR_MARGIN_STEP_MIN``), each widened by a rounding term of
-  8u(|Re d_k| + |threshold| + 2) per step; rounding to nearest is
-  monotone, so both bounds hold for the computed orbit too;
-- so a seed whose margin stays at or below the threshold for the steps
-  left under the upper bound is not_entered, and a seed whose margin
-  crosses the threshold at the same step m under both bounds enters L at
-  that step, m steps on: one step in R already puts Re z and Re w above
-  1.  Where the two bounds cross at different steps, the seed keeps
-  iterating and is tested again after the next step;
-- its components, which at most double plus 2 per step, stay below
-  2^1023 for the steps its class needs: the steps left, or m.  Where
-  they may not, the seed keeps iterating, and plain iteration decides
-  whether it overflows.
-Codes and steps are those of plain iteration.  The slice is cut into
-chunks of interleaved whole rows, classified independently by a pool of
-workers into disjoint output rows, so grids and emitted bytes are
-identical for any worker count.
+margin.  A seed leaves the active set early once the far-field
+certificate (``_certify``; ``_classify`` states the proof) settles the
+class that plain iteration gives it at the end of the budget, so codes
+and steps are those of plain iteration.  The slice is cut into chunks of
+interleaved whole rows, classified independently by a pool of workers
+into disjoint output rows, so grids and emitted bytes are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -435,12 +418,14 @@ def _class_field(keys: np.ndarray) -> list[str]:
 
 
 def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
-    """The CSV dump of write_grid_csv as an iterator of bytes: the header
-    line, then the lines of each block of about CHUNK_PIXELS pixels of whole
-    rows.  Within a block each distinct float bit pattern is formatted with
-    repr once, and each distinct (tag, step) pair once; the lines are
-    joined from those strings.  Writing the blocks to a file as they come
-    never holds the whole dump."""
+    """CSV dump, one line per pixel, row by row:
+    i,j,re_z,im_z,re_w,im_w,tag,step, with the pixel centre's parts
+    written by repr and step empty where none applies, as an iterator of
+    bytes: the header line, then the lines of each block of about
+    CHUNK_PIXELS pixels of whole rows.  Within a block each distinct float
+    bit pattern is formatted with repr once, and each distinct (tag, step)
+    pair once; the lines are joined from those strings.  Writing the
+    blocks to a file as they come never holds the whole dump."""
     yield b"i,j,re_z,im_z,re_w,im_w,tag,step\n"
     width = r.spec.width
     columns = [f"{i}," for i in range(width)]
@@ -455,11 +440,3 @@ def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
         keys = 4 * r.steps[rows].astype(np.int64) + r.codes[rows]
         fields.append(_lookup(keys, _class_field))
         yield "".join(map("".join, zip(*fields))).encode("ascii")
-
-
-def write_grid_csv(r: RasterResult) -> bytes:
-    """CSV dump, one line per pixel, row by row:
-    i,j,re_z,im_z,re_w,im_w,tag,step, with the pixel centre's parts
-    written by repr and step empty where none applies.  The bytes of
-    grid_csv_blocks, joined."""
-    return b"".join(grid_csv_blocks(r))

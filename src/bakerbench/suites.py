@@ -49,7 +49,7 @@ def _sample_wedge_seeds(
 
 def invariance_suite(samples: int, seed: int, steps: int) -> SuiteResult:
     z, w, alpha = _sample_wedge_seeds(_rng(seed), samples)
-    first_violation, min_margin, _ = invariance(z, w, alpha, steps)
+    first_violation, min_margin = invariance(z, w, alpha, steps)
     violations = int(np.count_nonzero(first_violation >= 0))
     return SuiteResult(
         suite="invariance", samples=samples, steps=steps, seed=seed,
@@ -61,7 +61,7 @@ def invariance_suite(samples: int, seed: int, steps: int) -> SuiteResult:
 def growth_suite(samples: int, seed: int, steps: int) -> SuiteResult:
     z, w, _ = _sample_wedge_seeds(_rng(seed), samples)
     proper = in_wedge(z, w, w - z, L_THRESHOLD)  # growth bounds are stated on L proper
-    min_w, min_z, _ = growth(z[proper], w[proper], steps)
+    min_w, min_z = growth(z[proper], w[proper], steps)
     violations = int(np.count_nonzero(~((min_w > 0) & (min_z > 0))))
     return SuiteResult(
         suite="growth", samples=samples, steps=steps, seed=seed,

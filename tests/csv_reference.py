@@ -1,4 +1,4 @@
-"""Reference for the CSV grid dump `bakerbench.render.write_grid_csv`:
+"""Reference for the CSV grid dump `bakerbench.render.grid_csv_blocks`, joined:
 one f-string per pixel, each float formatted with repr where it is
 written."""
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -411,6 +412,17 @@ class TestPsh:
         )
         assert code == 4
         assert "only 14 of 64 circle points usable" in err
+
+    def test_circle_past_double_range_warns_nothing(self, capsys):
+        # lambda * dir_z overflows on most of the circle of radius 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                ["psh", "--center-z", "2,0", "--center-w", "4,0",
+                 "--dir-z", "10,0", "--radius", "1e308"], capsys
+            )
+        assert code == 4
+        assert err == "numeric failure: only 0 of 64 circle points usable\n"
 
 
 @pytest.mark.parametrize("argv", [

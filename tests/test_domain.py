@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,25 +8,24 @@ from hypothesis import strategies as st
 from bakerbench.core import PlanePoint, apply_f
 from bakerbench.domain import (
     MARGIN_STEP,
-    check_growth,
-    check_invariance,
+    growth,
     in_L,
-    in_L_alpha,
+    invariance,
     ratio_profile,
     sup_alpha,
-    telescoping_residual,
+    telescoping_residuals,
 )
 
 
 class TestMembership:
     def test_inside(self):
-        assert in_L_alpha(PlanePoint(2 + 7j, 4 + 0j), 1.0)
+        assert in_L(PlanePoint(2 + 7j, 4 + 0j), 1.0)
 
     def test_strict_on_margin(self):
-        assert not in_L_alpha(PlanePoint(2 + 0j, 3 + 0j), 1.0)
+        assert not in_L(PlanePoint(2 + 0j, 3 + 0j), 1.0)
 
     def test_re_z_condition(self):
-        assert not in_L_alpha(PlanePoint(0.5 + 0j, 10 + 0j), 1.0)
+        assert not in_L(PlanePoint(0.5 + 0j, 10 + 0j), 1.0)
 
     def test_sup_alpha_values(self):
         assert sup_alpha(PlanePoint(2 + 0j, 4 + 0j)) == 2.0
@@ -38,14 +38,9 @@ class TestMembership:
         assert not in_L(PlanePoint(0 + 0j, 5 + 0j))
 
     def test_in_L_takes_any_threshold(self):
-        # Only in_L_alpha restricts alpha; in_L compares the gap with any
-        # threshold.
+        # in_L compares the gap with any threshold, not only alpha > 0.
         assert in_L(PlanePoint(2 + 0j, 1.5 + 0j), -1.0)
         assert not in_L(PlanePoint(2 + 0j, 2 + 0j), 0.0)
-
-    def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            in_L_alpha(PlanePoint(2 + 0j, 4 + 0j), 0.0)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -56,62 +51,74 @@ class TestMembership:
     def test_monotone_in_alpha(self, rez, imz, gap, imw, a1, a2):
         p = PlanePoint(complex(rez, imz), complex(rez + gap, imw))
         lo, hi = sorted((a1, a2))
-        if in_L_alpha(p, hi):
-            assert in_L_alpha(p, lo)
+        if in_L(p, hi):
+            assert in_L(p, lo)
+
+
+def invariance_of(seed, alpha, n):
+    """invariance on the one seed: (first step outside L_alpha or -1,
+    least margin minus alpha)."""
+    first, min_margin = invariance(*seed.arrays(), np.array([alpha]), n)
+    return int(first[0]), float(min_margin[0])
 
 
 class TestInvariance:
     def test_basic(self):
-        rep = check_invariance(PlanePoint(2 + 0j, 4 + 0j), 1.0, 30)
-        assert rep.all_inside
-        assert rep.first_violation is None
-        assert rep.min_margin > 0
-        assert rep.steps_checked == 30
+        first, min_margin = invariance_of(PlanePoint(2 + 0j, 4 + 0j), 1.0, 30)
+        assert first == -1
+        assert min_margin > 0
 
     def test_zero_steps(self):
-        rep = check_invariance(PlanePoint(2 + 0j, 4 + 0j), 1.0, 0)
-        assert rep.all_inside
-        assert rep.min_margin == 1.0
+        first, min_margin = invariance_of(PlanePoint(2 + 0j, 4 + 0j), 1.0, 0)
+        assert first == -1
+        assert min_margin == 1.0
 
     def test_wide_gap_seed(self):
-        rep = check_invariance(PlanePoint(1.5 + 0j, 30 + 0j), 5.0, 20)
-        assert rep.all_inside
+        first, _ = invariance_of(PlanePoint(1.5 + 0j, 30 + 0j), 5.0, 20)
+        assert first == -1
 
-    def test_rejects_outside_seed(self):
-        with pytest.raises(ValueError):
-            check_invariance(PlanePoint(2 + 0j, 2.5 + 0j), 1.0, 5)
+
+def growth_of(seed, n):
+    """growth on the one seed: the least w and z slacks."""
+    min_w, min_z = growth(*seed.arrays(), n)
+    return float(min_w[0]), float(min_z[0])
 
 
 class TestGrowth:
     def test_first_step_slack(self):
-        rep = check_growth(PlanePoint(2 + 0j, 4 + 0j), 1)
+        min_w, min_z = growth_of(PlanePoint(2 + 0j, 4 + 0j), 1)
         # Re w_1 = e^-8 + 9, slack = e^-8 + 0.5
-        assert rep.w_bound_ok and rep.z_bound_ok
-        assert abs(rep.min_w_slack - (math.exp(-8) + 0.5)) < 1e-14
-        assert abs(rep.min_z_slack - (math.exp(-6) + 3.5)) < 1e-14
+        assert min_w > 0 and min_z > 0
+        assert abs(min_w - (math.exp(-8) + 0.5)) < 1e-14
+        assert abs(min_z - (math.exp(-6) + 3.5)) < 1e-14
 
     def test_thirty_steps(self):
-        rep = check_growth(PlanePoint(2 + 0j, 4 + 0j), 30)
-        assert rep.w_bound_ok and rep.z_bound_ok
+        min_w, min_z = growth_of(PlanePoint(2 + 0j, 4 + 0j), 30)
+        assert min_w > 0 and min_z > 0
 
     def test_near_corner_seed(self):
-        rep = check_growth(PlanePoint(1.0001 + 0j, 2.5 + 0j), 10)
-        assert rep.w_bound_ok and rep.z_bound_ok
+        min_w, min_z = growth_of(PlanePoint(1.0001 + 0j, 2.5 + 0j), 10)
+        assert min_w > 0 and min_z > 0
+
+
+def residual_of(seed, n):
+    """telescoping_residuals on the one seed."""
+    return float(telescoping_residuals(*seed.arrays(), n)[0])
 
 
 class TestTelescoping:
     def test_single_step(self):
-        assert telescoping_residual(PlanePoint(2 + 0j, 4 + 0j), 1) <= 1e-12
+        assert residual_of(PlanePoint(2 + 0j, 4 + 0j), 1) <= 1e-12
 
     def test_twenty_steps(self):
-        assert telescoping_residual(PlanePoint(2 + 0j, 4 + 0j), 20) <= 1e-9
-        assert telescoping_residual(PlanePoint(3 + 0j, 5 + 2j), 20) <= 1e-9
+        assert residual_of(PlanePoint(2 + 0j, 4 + 0j), 20) <= 1e-9
+        assert residual_of(PlanePoint(3 + 0j, 5 + 2j), 20) <= 1e-9
 
     def test_thirty_steps_rounding_scale(self):
         # At 30 steps the coordinates reach ~1e10; the residual stays at
         # the rounding scale only because the orbit carries w - z itself
         # instead of recomputing it from those coordinates.
-        assert telescoping_residual(PlanePoint(2 + 0j, 4 + 0j), 30) <= 1e-6
+        assert residual_of(PlanePoint(2 + 0j, 4 + 0j), 30) <= 1e-6
 
 
 class TestMarginGrowth:

@@ -256,6 +256,15 @@ class TestEntryCertificate:
         outcome = render._certify(*p.arrays(), np.array([w - z + 0j]), 1000, threshold)
         assert outcome is not None and outcome[0] == 500
 
+    def test_no_certificate_past_the_horizon(self):
+        # A seed one step from entry whose components pass the overflow
+        # guard for the _HORIZON = 1,016 steps left; with one step more
+        # left the certificate is not tried, though the entry needs a
+        # single step.
+        z, w = 1.0, 11.0
+        assert certify(z, w, w - z, rem=1016) == 1
+        assert certify(z, w, w - z, rem=1017) == 0
+
     def test_entry_at_the_last_step(self):
         d = L_THRESHOLD - 9.5  # enters after 10 steps
         assert certify(*entrant(d), rem=10) == 10

@@ -14,7 +14,6 @@ from bakerbench.render import (
     classify_point,
     grid_csv_blocks,
     render_slice,
-    write_grid_csv,
     write_ppm,
 )
 
@@ -286,7 +285,7 @@ class TestCsv:
         r = render_slice(spec, 200)
         assert (r.stats["overflowed"] > 0) == (name != "default")
         assert len(list(grid_csv_blocks(r))) == 1 + 7
-        assert write_grid_csv(r) == reference_grid_csv(r)
+        assert b"".join(grid_csv_blocks(r)) == reference_grid_csv(r)
 
     def test_signed_zeros_keep_their_reprs(self):
         # Re z is -0.0 + u*0 + v*0: -0.0 where u < 0, 0.0 where u > 0.
@@ -298,7 +297,8 @@ class TestCsv:
             width=4, height=3,
         )
         r = render_slice(spec, 10)
-        rows = [line.split(",") for line in write_grid_csv(r).decode().splitlines()[1:]]
+        lines = b"".join(grid_csv_blocks(r)).decode().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
         assert {f[2] for f in rows} == {"-0.0", "0.0"}
         for f in rows:
             p = spec.pixel_center(int(f[0]), int(f[1]))
@@ -307,7 +307,7 @@ class TestCsv:
 
     def test_single_pixel(self):
         r = render_slice(single_pixel_spec(2 + 0j, 4 + 0j), 1)
-        lines = write_grid_csv(r).decode().splitlines()
+        lines = b"".join(grid_csv_blocks(r)).decode().splitlines()
         assert lines[0] == "i,j,re_z,im_z,re_w,im_w,tag,step"
         assert len(lines) == 2
         fields = lines[1].split(",")
@@ -333,7 +333,7 @@ class TestCsv:
                 step = "" if pc.step is None else pc.step
                 rows.append(f"{i},{j},{p.z.real!r},{p.z.imag!r},"
                             f"{p.w.real!r},{p.w.imag!r},{pc.tag},{step}")
-        assert write_grid_csv(r) == ("\n".join(rows) + "\n").encode()
+        assert b"".join(grid_csv_blocks(r)) == ("\n".join(rows) + "\n").encode()
 
     def test_row_count_and_roundtrip(self):
         spec = SliceSpec(
@@ -344,7 +344,7 @@ class TestCsv:
             width=6, height=5,
         )
         r = render_slice(spec, 15)
-        lines = write_grid_csv(r).decode().splitlines()
+        lines = b"".join(grid_csv_blocks(r)).decode().splitlines()
         assert len(lines) == 1 + 6 * 5
         for line in lines[1:]:
             f = line.split(",")
