@@ -8,6 +8,15 @@ acting on C^2.  All arithmetic is double precision.  ``step``, on arrays
 of states, is the only evaluation of F, and every orbit runs on it; any
 evaluation that would leave the representable range stops the orbit
 instead of letting infinities or NaNs leak into stored state.
+
+In R_inf = {Re(z + w) > S_CUT, Re w > W_CUT} both exponentials of F
+underflow to zero, so there F is exactly (z + w, 2w + 1) and the margin
+rises by exactly fl(d + 1) per step; R_inf is forward invariant.  ``step``
+skips the exponentials that underflow: it calls exp on every state when
+none is far, on no state when all are in R_inf, and on the states below
+the cuts otherwise.  A skipped exponential is +0 where exp gives +-0, and
+the sign of a zero can show only in a result part that is zero; there
+round-to-nearest gives +0 either way, so the images keep their bits.
 """
 
 from __future__ import annotations
@@ -20,6 +29,13 @@ import numpy as np
 
 # Largest real part for which exp() stays inside double range.
 EXP_MAX = 709.0
+
+# e^{-x} underflows to +-0 where Re x > 746: e^{-746} < 2^-1076 lies below
+# 2^-1075, half the smallest subnormal, so a correctly rounded exp returns
+# +-0 there, and so does the libm exp behind numpy and cmath.  S_CUT bounds
+# Re s for e^{-s}, W_CUT = S_CUT / 2 bounds Re w for e^{-2w}.
+S_CUT = 746.0
+W_CUT = 373.0
 
 # Seeds that ``orbits`` iterates together.  It bounds the memory of the
 # kernel's temporaries, whatever the number of seeds.
@@ -63,6 +79,22 @@ def modulus(c: np.ndarray) -> np.ndarray:
     return np.hypot(c.real, c.imag)
 
 
+def _exp_unless(x: np.ndarray, re: np.ndarray, cut: float) -> np.ndarray:
+    """e^x elementwise, with +0 where re > cut; exp runs only on the other
+    elements.  The guard is a max, not a mask, so that where no element is
+    past the cut, as on most steps of the classifier, no mask is made."""
+    if re.max(initial=-np.inf) > cut:
+        return np.exp(x, out=np.zeros_like(x), where=~(re > cut))
+    return np.exp(x)
+
+
+def exponentials(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{-s}, e^{-2w}) elementwise, as np.exp computes them, except +0
+    where they underflow: Re s > S_CUT, Re w > W_CUT."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _exp_unless(-s, s.real, S_CUT), _exp_unless(-2 * w, w.real, W_CUT)
+
+
 def step(
     z: np.ndarray, w: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -74,13 +106,23 @@ def step(
     both coordinates grow like 2^n while d grows like n, so that subtraction
     loses about one significant bit of d per step.
 
+    When every state is in R_inf, both exponentials underflow and the step
+    is exact: z1 = (z + w) + 0.0, w1 = 2w + 1, d1 = d + 1, where the + 0.0
+    turns a -0 part into +0 as adding the zero exponential does.
+    Otherwise ``exponentials`` skips only the ones that underflow.  Either
+    way the bits equal those of evaluating both exponentials everywhere.
+
     ok is False where the step overflowed: an exponent has real part above
     EXP_MAX, or any result is non-finite.  The images there are meaningless.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = z + w
-        e_s = np.exp(-s)
-        e_w = np.exp(-2 * w)
+        if s.real.min(initial=np.inf) > S_CUT and w.real.min(initial=np.inf) > W_CUT:
+            z1 = s + 0.0
+            w1 = 2 * w + 1
+            d1 = d + 1
+            return z1, w1, d1, np.isfinite(z1) & np.isfinite(w1) & np.isfinite(d1)
+        e_s, e_w = exponentials(s, w)
         z1 = e_s + s
         w1 = e_w + 2 * w + 1
         d1 = d + 1 + e_w - e_s

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OverflowSignal, PlanePoint, modulus, orbit, orbits
+from .core import OverflowSignal, PlanePoint, exponentials, modulus, orbit, orbits
 
 # L-membership threshold on Re w - Re z.
 L_THRESHOLD = 1.0
@@ -111,7 +111,8 @@ def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
             # A term may overflow only in an orbit that is about to stop,
             # and that stop raises below.
             with np.errstate(over="ignore", invalid="ignore"):
-                rhs[idx] += np.exp(-2 * wk) - np.exp(-(zk + wk))
+                e_s, e_w = exponentials(zk + wk, wk)
+                rhs[idx] += e_w - e_s
         else:
             lhs[idx] = dk
     if np.isnan(lhs).any():

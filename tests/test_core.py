@@ -8,16 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bakerbench import core
 from bakerbench.core import (
     EXP_MAX,
     OverflowSignal,
     PlanePoint,
     apply_f,
     orbit,
+    orbits,
     safe_exp,
     step,
 )
-from scalar_reference import cmath_step
+from scalar_reference import cmath_step, scalar_orbit
 
 # Frozen with a 60-digit mpmath evaluation, rounded to double.
 F_1_1 = (2.1353352832366127, 3.1353352832366127)
@@ -159,3 +161,100 @@ def test_step_matches_cmath_reference(batch):
         else:
             for g, r in zip(got, ref):
                 assert abs(g - r) <= 4 * sys.float_info.epsilon * abs(r)
+
+
+# Real parts of s = z + w and of 2w on both sides of 746, above which
+# e^{-746} < 2^-1076 underflows to zero.
+EDGES = (745.0, 745.5, 746.0, 746.5, 747.0)
+FAR_EDGE = 746.0
+IMAGS = (0.0, -0.0, 1.5, -2.5)
+INF_IMAGS = ((math.inf, 0.0), (-0.0, -math.inf), (math.inf, -math.inf), (-math.inf, 1.5))
+# d = -1 makes d + 1 zero, so an e^{-745} dropped from the margin shows.
+MARGINS = (complex(-1, 0.0), complex(-1, -0.0), complex(-0.0, -0.0),
+           complex(0.0, 3.0), complex(2.5, -0.0))
+
+
+def boundary_states():
+    """(z, w, d) with Re s and 2 Re w on EDGES, and signed zeros and
+    infinities in the imaginary parts; then states whose z or w has a real
+    part of +-0, so one exponential is far and the other is not."""
+    states = []
+    for re_s in EDGES:
+        for re_2w in EDGES:
+            w_re = re_2w / 2
+            z_re = re_s - w_re  # exact: s has real part re_s
+            for zi in IMAGS:
+                for wi in IMAGS:
+                    states += [(complex(z_re, zi), complex(w_re, wi), d) for d in MARGINS]
+            states += [(complex(z_re, zi), complex(w_re, wi), MARGINS[0])
+                       for zi, wi in INF_IMAGS]
+    for x in EDGES:
+        for zero in (0.0, -0.0):
+            for d in MARGINS:
+                states.append((complex(zero, -0.0), complex(x / 2, zero), d))
+                states.append((complex(x, zero), complex(zero, -0.0), d))
+    return states
+
+
+def far_in_s(z, w, d):
+    return (z + w).real > FAR_EDGE
+
+
+def far_in_w(z, w, d):
+    return 2 * w.real > FAR_EDGE
+
+
+BATCHES = {
+    "near": lambda st: not far_in_s(*st) and not far_in_w(*st),
+    "far": lambda st: far_in_s(*st) and far_in_w(*st),
+    "mixed": lambda st: True,
+}
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_step_at_the_underflow_cut_matches_exp_everywhere(batch, monkeypatch):
+    """step skips exponentials beyond the underflow cut; the bits, signed
+    zeros included, must be those of exp evaluated on every state."""
+    picked = [st for st in boundary_states() if BATCHES[batch](st)]
+    calls = []
+    exponentials = core.exponentials
+    monkeypatch.setattr(core, "exponentials", lambda *a: calls.append(1) or exponentials(*a))
+    z, w, d = (np.array(col, dtype=np.complex128) for col in zip(*picked))
+    z1, w1, d1, ok = step(z, w, d)
+    # every state in R_inf takes the exp-free branch; the others call exp
+    assert bool(calls) == (batch != "far")
+    for k, st in enumerate(picked):
+        ref = cmath_step(*st)
+        assert bool(ok[k]) == (ref is not None), st
+        if ref is not None:
+            got = (complex(z1[k]), complex(w1[k]), complex(d1[k]))
+            assert list(map(bits, got)) == list(map(bits, ref)), st
+    assert ok.any() and not ok.all()
+
+
+def test_f_is_exact_in_the_exp_free_regime():
+    """Along orbits that start in R_inf = {Re(z + w) > 746, Re w > 373},
+    F is (z + w, 2w + 1) and the margin rises by exactly fl(d + 1), for the
+    array kernel and for the exp-everywhere scalar reference alike."""
+    rng = np.random.default_rng(20261018)
+    n, steps = 64, 50
+    w = rng.uniform(373.0, 400.0, n) + 1j * rng.uniform(-1e3, 1e3, n)
+    z = rng.uniform(373.0, 400.0, n) + 1j * rng.uniform(-1e3, 1e3, n)
+    z.imag[:8], w.imag[:8] = 0.0, -0.0
+    w.real[8:16] = np.nextafter(373.0, np.inf)
+    z.real[8:16] = 746.0 - w.real[8:16] + 1e-12
+    assert ((z + w).real > 746.0).all() and (w.real > 373.0).all()
+
+    def assert_exact(z, w, d):
+        """z, w, d hold the states k = 0..steps along their first axis."""
+        assert np.array_equal(z[1:], z[:-1] + w[:-1])  # == ignores the sign of a zero
+        assert np.array_equal((2 * w[:-1] + 1).view(np.uint64), w[1:].view(np.uint64))
+        assert np.array_equal((d.real[:-1] + 1).view(np.uint64), d.real[1:].view(np.uint64))
+
+    states = [(zk, wk, dk) for _, _, zk, wk, dk in orbits(z, w, steps)]
+    assert len(states) == steps + 1
+    assert_exact(*map(np.array, zip(*states)))
+    for k in range(n):
+        ref = scalar_orbit(complex(z[k]), complex(w[k]), steps)
+        assert len(ref) == steps + 1
+        assert_exact(*map(np.array, zip(*ref)))
