@@ -3,10 +3,11 @@
 Subcommands: iterate, verify, witness, render, psh.  Every run is
 deterministic given its flags (plus --seed for sampled suites).  Exit
 codes: 0 success, 2 usage error (an output file that cannot be written,
-a slice with a non-finite pixel centre and a branch index beyond 2**53
-included), 3 verification failure, 4 numeric failure (solver
-non-convergence, fatal overflow, too few usable samples, running out
-of memory, or any other ValueError from the computation).
+two outputs that name one file, a slice with a non-finite pixel centre
+and a branch index beyond 2**53 included), 3 verification failure, 4
+numeric failure (solver non-convergence, fatal overflow, too few usable
+samples, running out of memory, or any other ValueError from the
+computation).
 
 Values may also come from a JSON config file (--config), whose entries
 are parsed as flags written before the explicit ones, so explicit flags
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -315,6 +317,12 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    out = args.out if args.out is not None else Path("basin.ppm")
+    _check_output(out)
+    # realpath, unlike Path.resolve, raises nothing on a symlink loop.
+    if (args.csv_out is not None
+            and os.path.realpath(out) == os.path.realpath(args.csv_out)):
+        raise UsageError(f"--csv-out {args.csv_out} names the PPM output {out}")
     for name in ("budget", "workers"):
         if getattr(args, name) < 1:
             raise UsageError(f"--{name} must be >= 1")
@@ -338,7 +346,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     )
     raster = render_slice(spec, args.budget, threshold=args.alpha_threshold,
                           workers=args.workers)
-    out = args.out if args.out is not None else Path("basin.ppm")
     _write(out, [write_ppm(raster, palette)])
     if args.csv_out is not None:
         _write(args.csv_out, grid_csv_blocks(raster))

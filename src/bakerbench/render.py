@@ -387,23 +387,21 @@ class PaletteSpec:
 
 def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     """Binary P6 pixmap, row-major top-to-bottom, byte-exact for fixed input."""
-    ent = np.array(palette.entered_cycle, dtype=np.uint8)
-    ovf = np.array(palette.overflowed_cycle, dtype=np.uint8)
-    img = np.empty((r.spec.height, r.spec.width, 3), dtype=np.uint8)
-    img[...] = np.array(palette.not_entered, dtype=np.uint8)
-    mask = r.codes == _CODE_ENTERED
-    img[mask] = ent[r.steps[mask] % len(ent)]
-    mask = r.codes == _CODE_OVERFLOWED
-    img[mask] = ovf[r.steps[mask] % len(ovf)]
+    ent, ovf = len(palette.entered_cycle), len(palette.overflowed_cycle)
+    lut = np.array([palette.not_entered, *palette.entered_cycle,
+                    *palette.overflowed_cycle], dtype=np.uint8)
+    idx = np.where(r.codes == _CODE_ENTERED, 1 + r.steps % ent,
+                   np.where(r.codes == _CODE_OVERFLOWED, 1 + ent + r.steps % ovf, 0))
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
-    return header + img.tobytes()
+    return header + lut[idx].tobytes()
 
 
-def _lookup(keys: np.ndarray, fmt) -> list[str]:
-    """The string of each key of keys, in C order.  fmt maps the sorted
-    distinct keys to their strings, so each is formatted once."""
+def _lookup(keys: np.ndarray, fmt) -> list:
+    """The string of each key of keys, as nested lists of keys' shape.
+    fmt maps the sorted distinct keys to their strings, so each is
+    formatted once."""
     distinct, inverse = np.unique(keys, return_inverse=True)
-    return list(map(fmt(distinct).__getitem__, inverse.ravel().tolist()))
+    return np.array(fmt(distinct), dtype=object)[inverse.reshape(keys.shape)].tolist()
 
 
 def _float_field(bits: np.ndarray) -> list[str]:
@@ -417,15 +415,69 @@ def _class_field(keys: np.ndarray) -> list[str]:
             for k in keys.tolist()]
 
 
+def _class_bytes(keys: np.ndarray) -> list[bytes]:
+    return [s.encode("ascii") for s in _class_field(keys)]
+
+
+def _separable_block(rows: np.ndarray, bits: list[np.ndarray], keys: np.ndarray,
+                     columns: list[str]) -> bytes | None:
+    """The lines of a block whose float fields (bit patterns, (rows, width)
+    arrays) each depend on the column only or on the row only; None where
+    one depends on both.  Each distinct value of an axis is formatted
+    once.  The column-only fields go into one row template as literals,
+    and each row fills in j and its row-only fields, then its (tag, step)
+    strings with %."""
+    width = len(columns)
+    # Marker m of the template stands for the row's string m: j, then the
+    # row-only fields.  No repr of a float holds a control character or %.
+    literals = [columns, ["\0"] * width]
+    row_strings = [[f"{j}," for j in rows.tolist()]]
+    for b in bits:
+        if (b == b[:1]).all():
+            literals.append(_lookup(b[0], _float_field))
+        elif (b == b[:, :1]).all():
+            literals.append([chr(len(row_strings))] * width)
+            row_strings.append(_lookup(b[:, 0], _float_field))
+        else:
+            return None
+    literals.append(["%s"] * width)
+    template = "".join(map("".join, zip(*literals))).encode("ascii")
+    subs = [(bytes([m]), [s.encode("ascii") for s in strings])
+            for m, strings in enumerate(row_strings)]
+    lines = []
+    for n, classes in enumerate(_lookup(keys, _class_bytes)):
+        line = template
+        for mark, strings in subs:
+            line = line.replace(mark, strings[n])
+        lines.append(line % tuple(classes))
+    return b"".join(lines)
+
+
+def _lookup_block(rows: np.ndarray, bits: list[np.ndarray], keys: np.ndarray,
+                  columns: list[str]) -> bytes:
+    """The lines of any block, joined from its seven fields per pixel, each
+    looked up in a table of the block's distinct values."""
+    fields = [columns * rows.size,
+              [f for j in rows.tolist() for f in [f"{j},"] * len(columns)]]
+    fields += [_lookup(b.ravel(), _float_field) for b in bits]
+    fields.append(_lookup(keys.ravel(), _class_field))
+    return "".join(map("".join, zip(*fields))).encode("ascii")
+
+
 def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
     """CSV dump, one line per pixel, row by row:
     i,j,re_z,im_z,re_w,im_w,tag,step, with the pixel centre's parts
     written by repr and step empty where none applies, as an iterator of
     bytes: the header line, then the lines of each block of about
-    CHUNK_PIXELS pixels of whole rows.  Within a block each distinct float
-    bit pattern is formatted with repr once, and each distinct (tag, step)
-    pair once; the lines are joined from those strings.  Writing the
-    blocks to a file as they come never holds the whole dump."""
+    CHUNK_PIXELS pixels of whole rows.  Each distinct float bit pattern is
+    formatted with repr once per block, and each distinct (tag, step) pair
+    once.  Where each float field of a block depends on the column only
+    or on the row only, compared bitwise, as on every slice along the
+    coordinate axes, the block is written from per-axis tables and one row
+    template filled in once per row (_separable_block).  Otherwise its
+    lines are joined from per-block tables of each field (_lookup_block).
+    Writing the blocks to a file as they come never holds the whole
+    dump."""
     yield b"i,j,re_z,im_z,re_w,im_w,tag,step\n"
     width = r.spec.width
     columns = [f"{i}," for i in range(width)]
@@ -433,10 +485,7 @@ def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
     for lo in range(0, r.spec.height, block):
         rows = np.arange(lo, min(lo + block, r.spec.height))
         z, w = _pixel_grid(r.spec, rows)
-        fields = [columns * rows.size,
-                  [f for j in rows.tolist() for f in [f"{j},"] * width]]
-        for x in (z.real, z.imag, w.real, w.imag):
-            fields.append(_lookup(x.view(np.uint64), _float_field))
+        bits = [x.view(np.uint64) for x in (z.real, z.imag, w.real, w.imag)]
         keys = 4 * r.steps[rows].astype(np.int64) + r.codes[rows]
-        fields.append(_lookup(keys, _class_field))
-        yield "".join(map("".join, zip(*fields))).encode("ascii")
+        data = _separable_block(rows, bits, keys, columns)
+        yield _lookup_block(rows, bits, keys, columns) if data is None else data

@@ -282,6 +282,26 @@ class TestOutputPaths:
              "--out", str(tmp_path / "img.ppm"),
              "--csv-out", str(gone / "g.csv")], capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["--out", "X", "--csv-out", "X"],
+        ["--out", "./g.out", "--csv-out", "g.out"],
+        ["--csv-out", "basin.ppm"],  # the PPM goes to basin.ppm
+    ])
+    def test_render_outputs_naming_one_file(self, argv, no_render, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert_usage_error(["render", "--width", "4", "--height", "4", *argv],
+                           capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_render_default_out_is_a_directory(self, no_render, tmp_path,
+                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "basin.ppm").mkdir()
+        assert_usage_error(["render", "--width", "4", "--height", "4",
+                            "--csv-out", "g.csv"], capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["basin.ppm"]
+
     def test_render_out_with_nul_byte(self, no_render, tmp_path, monkeypatch,
                                       capsys):
         monkeypatch.chdir(tmp_path)

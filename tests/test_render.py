@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -259,6 +260,29 @@ class TestPpm:
         r2 = render_slice(wedge_slice(), 5)
         assert write_ppm(r1, PaletteSpec()) == write_ppm(r2, PaletteSpec())
 
+    def test_cycles_of_different_lengths_match_per_pixel_colours(self):
+        palette = PaletteSpec(
+            not_entered=(1, 2, 3),
+            entered_cycle=((10, 0, 0), (20, 0, 0), (30, 0, 0)),
+            overflowed_cycle=tuple((0, 0, 50 + k) for k in range(5)),
+        )
+        spec = SliceSpec(*CSV_SLICES["w=0.2"], u_range=(-5.0, 5.0),
+                         v_range=(-5.0, 5.0), width=24, height=16)
+        r = render_slice(spec, 40)
+        assert all(r.stats.values())
+        expected = bytearray(b"P6\n24 16\n255\n")
+        for j in range(16):
+            for i in range(24):
+                pc = r.pixel(i, j)
+                if pc.tag == "entered":
+                    rgb = palette.entered_cycle[pc.step % 3]
+                elif pc.tag == "overflowed":
+                    rgb = palette.overflowed_cycle[pc.step % 5]
+                else:
+                    rgb = palette.not_entered
+                expected += bytes(rgb)
+        assert write_ppm(r, palette) == bytes(expected)
+
     def test_palette_validation(self):
         with pytest.raises(ValueError):
             PaletteSpec(not_entered=(0, 0, 999))
@@ -269,14 +293,32 @@ class TestPpm:
 CSV_SLICES = {
     "default": (PlanePoint(0j, 4 + 0j), PlanePoint(1 + 0j, 0j), PlanePoint(1j, 0j)),
     "w=0.2": (PlanePoint(0j, 0.2 + 0j), PlanePoint(1 + 0j, 0j), PlanePoint(1j, 0j)),
+    "w-plane": (PlanePoint(0j, 0j), PlanePoint(0j, 1 + 0j), PlanePoint(0j, 1j)),
     "oblique": (PlanePoint(0.3 - 0.2j, 1.5 + 0.7j), PlanePoint(0.6 + 0.8j, -0.25 + 0.5j),
                 PlanePoint(-0.3 + 1.1j, 0.9 - 0.4j)),
 }
+# Slices whose float fields each depend on one axis only, written from a
+# row template; the others take _lookup_block.
+SEPARABLE = {"default", "w=0.2", "w-plane"}
+
+
+@pytest.fixture
+def lookup_blocks(monkeypatch):
+    """The calls of render._lookup_block, one per block it writes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lookup_block(*args)
+
+    lookup_block = render._lookup_block
+    monkeypatch.setattr(render, "_lookup_block", spy)
+    return calls
 
 
 class TestCsv:
     @pytest.mark.parametrize("name", CSV_SLICES)
-    def test_matches_reference_writer(self, name, monkeypatch):
+    def test_matches_reference_writer(self, name, monkeypatch, lookup_blocks):
         # blocks of 5 rows, the last of 2; budget 200 puts overflows at
         # steps whose (code, step) pairs outrun a uint8
         monkeypatch.setattr(render, "CHUNK_PIXELS", 5 * 48 + 7)
@@ -284,8 +326,39 @@ class TestCsv:
                          v_range=(-5.0, 5.0), width=48, height=32)
         r = render_slice(spec, 200)
         assert (r.stats["overflowed"] > 0) == (name != "default")
-        assert len(list(grid_csv_blocks(r))) == 1 + 7
-        assert b"".join(grid_csv_blocks(r)) == reference_grid_csv(r)
+        blocks = list(grid_csv_blocks(r))
+        assert len(blocks) == 1 + 7
+        assert len(lookup_blocks) == (0 if name in SEPARABLE else 7)
+        assert b"".join(blocks) == reference_grid_csv(r)
+
+    def test_full_size_default_dump_is_pinned(self):
+        # 512^2 x 200 over (-5, 5)^2, the render-dump workload of bench/
+        spec = SliceSpec(*CSV_SLICES["default"], u_range=(-5.0, 5.0),
+                         v_range=(-5.0, 5.0), width=512, height=512)
+        digest = hashlib.sha256(b"".join(grid_csv_blocks(render_slice(spec, 200))))
+        assert digest.hexdigest() == \
+            "0730fbc7abd9429703bd177dac2f42af4ab453151d32f245cbf11adb7ad8d4d6"
+
+    def test_signed_zero_rows_keep_their_reprs(self, lookup_blocks):
+        # Im z sums -0.0, the u term's -0.0 (u > 0) and the v term's: -0.0
+        # where v > 0, 0.0 where v < 0.  As 0.0 == -0.0, only a bitwise
+        # test sees that Im z depends on the row.
+        spec = SliceSpec(
+            base=PlanePoint(complex(0.0, -0.0), 0.5 + 0j),
+            dir_u=PlanePoint(complex(-1.0, -0.0), 0j),
+            dir_v=PlanePoint(complex(-0.0, -0.0), 1j),
+            u_range=(1.0, 2.0), v_range=(-1.0, 1.0),
+            width=4, height=4,
+        )
+        r = render_slice(spec, 10)
+        lines = b"".join(grid_csv_blocks(r)).decode().splitlines()
+        assert lookup_blocks == []
+        rows = [line.split(",") for line in lines[1:]]
+        assert [f[3] for f in rows[::4]] == ["0.0", "0.0", "-0.0", "-0.0"]
+        for f in rows:
+            p = spec.pixel_center(int(f[0]), int(f[1]))
+            assert f[2:6] == [repr(p.z.real), repr(p.z.imag),
+                              repr(p.w.real), repr(p.w.imag)]
 
     def test_signed_zeros_keep_their_reprs(self):
         # Re z is -0.0 + u*0 + v*0: -0.0 where u < 0, 0.0 where u > 0.
