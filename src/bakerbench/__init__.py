@@ -9,14 +9,13 @@ verification suites (suites), and a CLI (cli).
 
 __version__ = "0.1.0"
 
-from .core import EXP_MAX, OrbitRecord, OverflowSignal, PlanePoint, apply_f, orbit, safe_exp
+from .core import EXP_MAX, OverflowSignal, PlanePoint, apply_f, orbit, safe_exp
 from .domain import (
     RatioProfile,
     in_L,
     ratio_profile,
-    sup_alpha,
 )
-from .psh import InsufficientSamples, ProbeSpec, SubmeanReport, submean_check, u_n, u_profile
+from .psh import InsufficientSamples, ProbeSpec, SubmeanReport, submean_check, u_n
 from .render import (
     PaletteSpec,
     PixelClass,
@@ -40,7 +39,6 @@ from .witness import (
 __all__ = [
     "EXP_MAX",
     "InsufficientSamples",
-    "OrbitRecord",
     "OverflowSignal",
     "PaletteSpec",
     "PixelClass",
@@ -66,8 +64,6 @@ __all__ = [
     "render_slice",
     "safe_exp",
     "submean_check",
-    "sup_alpha",
     "u_n",
-    "u_profile",
     "write_ppm",
 ]

@@ -26,8 +26,6 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .core import OverflowSignal, PlanePoint, orbit
 from .psh import InsufficientSamples, ProbeSpec, submean_check, u_value
@@ -241,25 +239,27 @@ def _report(args: argparse.Namespace, body: dict, lines: list[str],
 def cmd_iterate(args: argparse.Namespace) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
-    rec = orbit(PlanePoint(args.z, args.w), args.steps)
-    u = u_value(np.array([p.z for p in rec.points]), np.array([p.w for p in rec.points]))
+    z, w, d = orbit(PlanePoint(args.z, args.w), args.steps)
     rows = []
-    for n, (p, d, u_n) in enumerate(zip(rec.points, rec.margins, u.tolist())):
+    for n, (zn, wn, dn, un) in enumerate(zip(z.tolist(), w.tolist(), d.real.tolist(),
+                                             u_value(z, w).tolist())):
         rows.append({
             "n": n,
-            "re_z": p.z.real, "im_z": p.z.imag,
-            "re_w": p.w.real, "im_w": p.w.imag,
-            "margin": d.real,
-            "u_n": None if math.isnan(u_n) else u_n,
+            "re_z": zn.real, "im_z": zn.imag,
+            "re_w": wn.real, "im_w": wn.imag,
+            "margin": dn,
+            "u_n": None if math.isnan(un) else un,
         })
     lines = [kv_line(r) for r in rows]
-    if not rec.completed:
+    truncated = z.size <= args.steps
+    overflow_step = z.size - 1 if truncated else None
+    if truncated:
         lines.append(kv_line({
             "notice": "orbit-truncated-by-overflow",
-            "overflow_step": rec.overflow_step,
+            "overflow_step": overflow_step,
         }))
     _report(args, {"rows": rows}, lines, args.out,
-            truncated=not rec.completed, overflow_step=rec.overflow_step)
+            truncated=truncated, overflow_step=overflow_step)
     return EXIT_OK
 
 
@@ -332,7 +332,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.palette is not None:
         try:
             palette = PaletteSpec.from_mapping(json.loads(args.palette.read_text()))
-        except (OSError, ValueError, TypeError) as exc:
+        # OverflowError: int() of an infinite channel value
+        except (OSError, ValueError, TypeError, OverflowError) as exc:
             raise UsageError(f"bad palette file {args.palette}: {exc}") from None
     spec = _spec(
         SliceSpec,

@@ -5,7 +5,9 @@ The map under study is
     F(z, w) = (e^{-(z+w)} + z + w,  e^{-2w} + 2w + 1)
 
 acting on C^2.  All arithmetic is double precision.  ``step``, on arrays
-of states, is the only evaluation of F, and every orbit runs on it; any
+of states, is the only evaluation of F, and every orbit runs on it:
+``orbits`` iterates seeds in chunks, ``orbit`` concatenates one seed's
+states into arrays (z, w, d), and ``apply_f`` is one ``step``.  Any
 evaluation that would leave the representable range stops the orbit
 instead of letting infinities or NaNs leak into stored state.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,46 +158,20 @@ def orbits(
             yield k, idx, zk, wk, dk
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """Finite orbit prefix under F.
-
-    ``points[0]`` is the seed.  If ``overflow_step`` is k, applying F to
-    ``points[k]`` overflowed and ``points`` holds exactly k+1 entries (the
-    last finite state); otherwise all ``requested_steps`` steps completed.
-    ``margins[k]`` is w_k - z_k carried through the orbit (see ``step``);
-    read the margin from here rather than from ``points[k]``.
-    """
-
-    points: tuple[PlanePoint, ...]
-    margins: tuple[complex, ...]
-    requested_steps: int
-    overflow_step: int | None = field(default=None)
-
-    @property
-    def completed(self) -> bool:
-        return self.overflow_step is None
-
-    @property
-    def last(self) -> PlanePoint:
-        return self.points[-1]
-
-
-def orbit(seed: PlanePoint, n: int) -> OrbitRecord:
-    """Iterate F up to n times, stopping early on overflow."""
+def orbit(seed: PlanePoint, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states 0..m of the orbit of seed under F and their carried
+    margins, as arrays (z, w, d) of length m + 1.  m = n, or m < n where
+    applying F to state m overflowed."""
     if n < 0:
         raise ValueError("step count must be >= 0")
-    points, margins = [], []
-    for _, _, z, w, d in orbits(*seed.arrays(), n):
-        points.append(PlanePoint(complex(z[0]), complex(w[0])))
-        margins.append(complex(d[0]))
-    overflow_step = len(points) - 1 if len(points) <= n else None
-    return OrbitRecord(tuple(points), tuple(margins), n, overflow_step)
+    z, w, d = zip(*(s[2:] for s in orbits(*seed.arrays(), n)))
+    return np.concatenate(z), np.concatenate(w), np.concatenate(d)
 
 
 def apply_f(p: PlanePoint) -> PlanePoint:
     """One application of F.  Raises OverflowSignal on any non-finite result."""
-    rec = orbit(p, 1)
-    if not rec.completed:
+    z, w = p.arrays()
+    z1, w1, _, ok = step(z, w, w - z)
+    if not ok[0]:
         raise OverflowSignal("image of F is non-finite")
-    return rec.last
+    return PlanePoint(complex(z1[0]), complex(w1[0]))

@@ -40,17 +40,6 @@ def in_wedge(z: np.ndarray, w: np.ndarray, d: np.ndarray, alpha) -> np.ndarray:
     return (d.real > alpha) & (z.real > 1.0) & (w.real > 1.0)
 
 
-def sup_alpha(p: PlanePoint) -> float | None:
-    """Supremum of admissible alpha for p, or None if Re z > 1, Re w > 1 fails.
-
-    p lies in L_alpha exactly for 0 < alpha < sup_alpha(p), and p is in L
-    iff the returned value exceeds 1.
-    """
-    if p.z.real > 1.0 and p.w.real > 1.0:
-        return p.w.real - p.z.real
-    return None
-
-
 def in_L(p: PlanePoint, threshold: float = L_THRESHOLD) -> bool:
     """Membership in L (threshold 1), or in the looser alpha > 0 variant."""
     z, w = p.arrays()
@@ -141,10 +130,9 @@ RATIO_CAUCHY_TOL = 1e-8
 def ratio_profile(seed: PlanePoint, n: int) -> RatioProfile:
     if not in_L(seed):
         raise ValueError("seed is not in L")
-    rec = orbit(seed, n)
-    entries = []
-    for k, p in enumerate(rec.points):
-        entries.append((k, p.z / p.w, p.w / p.z))
+    z, w, _ = orbit(seed, n)
+    entries = [(k, zk / wk, wk / zk)
+               for k, (zk, wk) in enumerate(zip(z.tolist(), w.tolist()))]
     stab = None
     for k in range(len(entries) - 1):
         _, zw0, wz0 = entries[k]

@@ -38,38 +38,13 @@ def u_value(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def u_n(seed: PlanePoint, n: int) -> float:
     """u_n at seed; raises OverflowSignal if the orbit dies before step n."""
-    rec = orbit(seed, n)
-    if not rec.completed:
-        raise OverflowSignal(f"orbit overflowed at step {rec.overflow_step}")
-    u = float(u_value(*rec.last.arrays())[0])
+    z, w, _ = orbit(seed, n)
+    if z.size <= n:
+        raise OverflowSignal(f"orbit overflowed at step {z.size - 1}")
+    u = float(u_value(z[-1:], w[-1:])[0])
     if math.isnan(u):
         raise ValueError("u undefined: |w| + |z| = 0")
     return u
-
-
-@dataclass(frozen=True)
-class UProfile:
-    seed: PlanePoint
-    values: tuple[tuple[int, float], ...]
-    tail_max: float
-    truncated: bool
-
-
-def u_profile(seed: PlanePoint, N: int) -> UProfile:
-    """Tabulate u_n for n = 0..N (until overflow).
-
-    tail_max, the maximum over the last ceil(N/4) defined values, is the
-    finite-sample stand-in for the limsup of the sequence.
-    """
-    if N < 4:
-        raise ValueError("profile length must be >= 4")
-    rec = orbit(seed, N)
-    u = u_value(np.array([p.z for p in rec.points]), np.array([p.w for p in rec.points]))
-    values = tuple((n, v) for n, v in enumerate(u.tolist()) if not math.isnan(v))
-    tail = math.ceil(N / 4)
-    tail_max = max(v for _, v in values[-tail:])
-    return UProfile(seed=seed, values=values, tail_max=tail_max,
-                    truncated=not rec.completed)
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,9 @@ class PaletteSpec:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "PaletteSpec":
+        if not isinstance(data, dict):
+            raise ValueError("palette root must be an object")
+
         def triple(x) -> tuple[int, int, int]:
             r, g, b = x
             return (int(r), int(g), int(b))

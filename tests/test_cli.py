@@ -229,6 +229,17 @@ class TestRender:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("text", ['{"not_entered": [Infinity, 0, 0]}',
+                                      "[1, 2, 3]"])
+    def test_palette_bad_value_or_root_is_usage_error(self, text, tmp_path, capsys):
+        bad = tmp_path / "palette.json"
+        bad.write_text(text)
+        assert_usage_error(
+            ["render", "--width", "4", "--height", "4",
+             "--out", str(tmp_path / "x.ppm"), "--palette", str(bad)], capsys
+        )
+        assert not (tmp_path / "x.ppm").exists()
+
     def test_custom_palette(self, tmp_path, capsys):
         pal = tmp_path / "palette.json"
         pal.write_text(json.dumps({

@@ -75,26 +75,25 @@ class TestApplyF:
 
 class TestOrbit:
     def test_zero_steps(self):
-        rec = orbit(PlanePoint(0j, 0j), 0)
-        assert rec.completed
-        assert rec.points == (PlanePoint(0j, 0j),)
+        z, w, d = orbit(PlanePoint(0j, 0j), 0)
+        assert z.tolist() == [0j] and w.tolist() == [0j] and d.tolist() == [0j]
 
     def test_one_step(self):
-        rec = orbit(PlanePoint(0j, 0j), 1)
-        assert rec.completed
-        assert rec.points[1] == PlanePoint(1 + 0j, 2 + 0j)
+        z, w, d = orbit(PlanePoint(0j, 0j), 1)
+        assert z.tolist() == [0j, 1 + 0j]
+        assert w.tolist() == [0j, 2 + 0j]
+        assert d.tolist() == [0j, 1 + 0j]
 
     def test_growth_after_forty_steps(self):
-        rec = orbit(PlanePoint(2 + 0j, 4 + 0j), 40)
-        assert rec.completed
+        z, w, _ = orbit(PlanePoint(2 + 0j, 4 + 0j), 40)
+        assert z.size == 41
         # oracle: Re w_40 ~ 5.4977e12, far above 2*4 + 20
-        assert rec.last.w.real > 2 * 4 + 20
+        assert w[-1].real > 2 * 4 + 20
 
     def test_overflow_truncation(self):
-        rec = orbit(PlanePoint(-400 + 0j, -400 + 0j), 5)
-        assert not rec.completed
-        assert rec.overflow_step == 0
-        assert len(rec.points) == 1
+        z, w, d = orbit(PlanePoint(-400 + 0j, -400 + 0j), 5)
+        assert z.size == w.size == d.size == 1
+        assert z[0] == w[0] == -400
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -103,12 +102,24 @@ class TestOrbit:
     def test_determinism(self):
         a = orbit(PlanePoint(2 + 1j, 4 - 3j), 25)
         b = orbit(PlanePoint(2 + 1j, 4 - 3j), 25)
-        assert a == b
+        assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
     def test_consistency(self):
-        rec = orbit(PlanePoint(1.5 + 0.5j, 3 + 0j), 20)
-        for k in range(len(rec.points) - 1):
-            assert apply_f(rec.points[k]) == rec.points[k + 1]
+        z, w, _ = orbit(PlanePoint(1.5 + 0.5j, 3 + 0j), 20)
+        for k in range(z.size - 1):
+            assert apply_f(PlanePoint(z[k], w[k])) == PlanePoint(z[k + 1], w[k + 1])
+
+    @pytest.mark.parametrize("seed, n, length", [
+        # Re w passes W_CUT = 373 at step 7; from there step skips exp.
+        (PlanePoint(2 + 0.5j, 4 - 1j), 12, 13),
+        # Applying F to state 2 overflows.
+        (PlanePoint(-4.8 - 0.4j, -1.8 + 1.8j), 8, 3),
+    ])
+    def test_matches_scalar_reference_bit_for_bit(self, seed, n, length):
+        got = orbit(seed, n)
+        ref = [np.array(c) for c in zip(*scalar_orbit(seed.z, seed.w, n))]
+        assert got[0].size == length
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in ref]
 
 
 seeds = st.tuples(
@@ -124,10 +135,10 @@ def test_orbit_prefix_property(coords, m, n):
     seed = PlanePoint(complex(coords[0], coords[1]), complex(coords[2], coords[3]))
     long = orbit(seed, n)
     short = orbit(seed, m)
-    if long.completed:
-        assert short.completed
-    if short.completed:
-        assert long.points[: m + 1] == short.points
+    if long[0].size == n + 1:
+        assert short[0].size == m + 1
+    if short[0].size == m + 1:
+        assert [x[: m + 1].tobytes() for x in long] == [x.tobytes() for x in short]
 
 
 # Python's cmath.exp evaluates e^x as e^(x-1)*e above log(DBL_MAX/4), one

@@ -12,7 +12,6 @@ from bakerbench.domain import (
     in_L,
     invariance,
     ratio_profile,
-    sup_alpha,
     telescoping_residuals,
 )
 
@@ -26,11 +25,6 @@ class TestMembership:
 
     def test_re_z_condition(self):
         assert not in_L(PlanePoint(0.5 + 0j, 10 + 0j), 1.0)
-
-    def test_sup_alpha_values(self):
-        assert sup_alpha(PlanePoint(2 + 0j, 4 + 0j)) == 2.0
-        assert sup_alpha(PlanePoint(2 + 0j, 2.5 + 0j)) == 0.5
-        assert sup_alpha(PlanePoint(0 + 0j, 5 + 0j)) is None
 
     def test_in_L(self):
         assert in_L(PlanePoint(2 + 0j, 4 + 0j))

@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 _COMMANDS = {
     "iterate": ["iterate", "--z=0.5,0.25", "--w=2,-1", "--steps=4"],
     "iterate-overflow": ["iterate", "--z=-400,0", "--w=-400,0", "--steps=3"],
+    # Re w passes W_CUT at step 7, so the last steps run in R_inf.
+    "iterate-far": ["iterate", "--z=2,0.5", "--w=4,-1", "--steps=12"],
     "verify-invariance": ["verify", "--suite=invariance", "--samples=200",
                           "--seed=5", "--steps=10"],
     "verify-growth": ["verify", "--suite=growth", "--samples=200", "--seed=5",

@@ -7,7 +7,6 @@ from bakerbench.psh import (
     ProbeSpec,
     submean_check,
     u_n,
-    u_profile,
     u_value,
 )
 
@@ -51,21 +50,6 @@ class TestUValue:
 
     def test_undefined_at_double_zero(self):
         assert np.isnan(u_value(np.array([0j]), np.array([0j])))
-
-
-class TestUProfile:
-    def test_tail_on_L(self):
-        prof = u_profile(PlanePoint(2 + 0j, 4 + 0j), 40)
-        assert prof.tail_max <= -1.0 + 1e-9
-        assert not prof.truncated
-
-    def test_range_everywhere(self):
-        prof = u_profile(PlanePoint(0j, 0j), 10)
-        assert all(-2.0 <= v <= 0.0 for _, v in prof.values)
-
-    def test_minimum_length(self):
-        with pytest.raises(ValueError):
-            u_profile(PlanePoint(1 + 0j, 3 + 0j), 1)
 
 
 def probe(radius=0.01, samples=64):

@@ -115,6 +115,23 @@ class TestFindWitnesses:
         for zeta in seq.zetas:
             assert winding_number(a, zeta) == 1
 
+    def test_witnesses_match_lambert_w(self):
+        """zeta solves e^{-3 zeta} = a zeta + 1, a = 4c - 3; with
+        v = 3(a zeta + 1)/a this is v e^v = x = (3/a) e^{3/a}, so
+        zeta = W_j(x)/3 - 1/a on a branch j of Lambert W.  Branch k of the
+        solver's logarithm is W's branch -k or -k - 1."""
+        rng = np.random.default_rng(20261018)
+        r, th = rng.uniform(0.2, 4.0, 42), rng.uniform(0.0, TAU, 42)
+        with mp.workdps(40):
+            for c in (r * np.exp(1j * th)).tolist():
+                seq = find_witnesses(c, 8)
+                a = 4 * mp.mpc(c) - 3
+                x = mp.exp(mp.log(3 / a) + 3 / a)
+                for k, zeta in zip(seq.branches, seq.zetas):
+                    err = min(abs(zeta - ref) / abs(ref) for ref in
+                              (mp.lambertw(x, j) / 3 - 1 / a for j in (-k, -k - 1)))
+                    assert err <= 1e-14, (c, k, zeta)
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             find_witnesses(1 + 0j, 0)
