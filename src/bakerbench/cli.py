@@ -332,8 +332,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.palette is not None:
         try:
             palette = PaletteSpec.from_mapping(json.loads(args.palette.read_text()))
-        # OverflowError: int() of an infinite channel value
-        except (OSError, ValueError, TypeError, OverflowError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             raise UsageError(f"bad palette file {args.palette}: {exc}") from None
     spec = _spec(
         SliceSpec,

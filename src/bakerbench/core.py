@@ -39,6 +39,13 @@ EXP_MAX = 709.0
 S_CUT = 746.0
 W_CUT = 373.0
 
+
+def in_r_inf(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Where the states (z, w) lie in R_inf: Re(z + w) > S_CUT and Re w >
+    W_CUT, with Re(z + w) rounded as z + w rounds it."""
+    with np.errstate(over="ignore"):
+        return (z.real + w.real > S_CUT) & (w.real > W_CUT)
+
 # Seeds that ``orbits`` iterates together.  It bounds the memory of the
 # kernel's temporaries, whatever the number of seeds.
 ORBIT_CHUNK = 2048
@@ -119,7 +126,7 @@ def step(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = z + w
-        if s.real.min(initial=np.inf) > S_CUT and w.real.min(initial=np.inf) > W_CUT:
+        if in_r_inf(z, w).all():
             z1 = s + 0.0
             w1 = 2 * w + 1
             d1 = d + 1

@@ -8,7 +8,9 @@ over a compacted active set and tests ``domain.in_wedge`` on the carried
 margin.  A seed leaves the active set early once the far-field
 certificate (``_certify``; ``_classify`` states the proof) settles the
 class that plain iteration gives it at the end of the budget, so codes
-and steps are those of plain iteration.  The slice is cut into chunks of
+and steps are those of plain iteration.  Seeds in R_inf that it leaves
+open, such as those near overflow, go to a tail that ``_finish`` iterates
+after the main loop, without exponentials.  The slice is cut into chunks of
 interleaved whole rows, classified independently by a pool of workers
 into disjoint output rows, so grids and emitted bytes are identical for
 any worker count.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PlanePoint, step
+from .core import PlanePoint, in_r_inf, step
 from .domain import (FAR_FIELD, FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD,
                      in_wedge)
 
@@ -242,18 +244,22 @@ def _classify(
       by at most |w| + 1 and |d| by at most 2.  So after n steps every
       component is below 2^(n + 3) M, M the largest component now, and a
       class is certified only if M < 2^(1020 - n), for the n steps it
-      needs: rem to stay out, m to enter.  Elsewhere the seed keeps
-      iterating: where the bound reaches the largest double, plain
-      iteration may end in overflowed, as every far seed of w = 0.2 does
-      at budget 2,000.  No state of R passes the guard for more than
-      _HORIZON = 1,016 steps, so with more steps left only plain iteration
-      runs.
+      needs: rem to stay out, m to enter.  Elsewhere plain iteration
+      decides: where the bound reaches the largest double, it may end in
+      overflowed, as every far seed of w = 0.2 does at budget 2,000.  No
+      state of R passes the guard for more than _HORIZON = 1,016 steps, so
+      with more steps left only plain iteration runs.
+
+    With at most _HORIZON steps left, a seed left open in R_inf moves to
+    the tail with its step k, a rule on the state and k only, so that the
+    counts do not depend on the chunks; _finish iterates the tail.
     """
     codes = np.full(z.shape, _CODE_NOT_ENTERED, dtype=np.uint8)
     steps = np.full(z.shape, -1, dtype=np.int32)
     idx = np.arange(z.size)
     d = w - z
     fast = entries = evals = 0
+    tail = []
     for k in range(budget + 1):
         inside = in_wedge(z, w, d, threshold)
         if inside.any():
@@ -272,13 +278,46 @@ def _classify(
             fast += int((m < 0).sum())
             keep = m == 0
             idx, z, w, d = idx[keep], z[keep], w[keep], d[keep]
+        if budget - k <= _HORIZON:
+            far = in_r_inf(z, w)
+            if far.any():
+                tail.append((idx[far], z[far], w[far], d[far], np.full(far.sum(), k)))
+                idx, z, w, d = idx[~far], z[~far], w[~far], d[~far]
         evals += idx.size
         z, w, d, ok = step(z, w, d)
         if not ok.all():
             codes[idx[~ok]] = _CODE_OVERFLOWED
             steps[idx[~ok]] = k
             idx, z, w, d = idx[ok], z[ok], w[ok], d[ok]
+    if tail:
+        evals += _finish(*map(np.concatenate, zip(*tail)), budget, threshold, codes, steps)
     return codes, steps, fast, entries, evals
+
+
+def _finish(
+    idx: np.ndarray, z: np.ndarray, w: np.ndarray, d: np.ndarray, k: np.ndarray,
+    budget: int, threshold: float, codes: np.ndarray, steps: np.ndarray
+) -> int:
+    """Plain iteration to the end of the budget of the seeds idx, whose
+    states (z, w, d) after k < budget steps, one k per seed, lie in R_inf
+    outside L_threshold; records their classes as _classify does and
+    returns the map evaluations.  R_inf is forward invariant, so every
+    step takes core.step's exp-free branch."""
+    evals = 0
+    while idx.size:
+        evals += idx.size
+        z, w, d, ok = step(z, w, d)
+        k = k + 1
+        inside = ok & in_wedge(z, w, d, threshold)
+        keep = ok & ~inside & (k < budget)
+        if not keep.all():
+            # an overflow is recorded at the step that overflowed, k - 1
+            codes[idx[~ok]] = _CODE_OVERFLOWED
+            steps[idx[~ok]] = k[~ok] - 1
+            codes[idx[inside]] = _CODE_ENTERED
+            steps[idx[inside]] = k[inside]
+            idx, z, w, d, k = idx[keep], z[keep], w[keep], d[keep], k[keep]
+    return evals
 
 
 def classify_point(
@@ -373,8 +412,11 @@ class PaletteSpec:
             raise ValueError("palette root must be an object")
 
         def triple(x) -> tuple[int, int, int]:
-            r, g, b = x
-            return (int(r), int(g), int(b))
+            # JSON integers only, not bools: int() would truncate or parse.
+            if not (isinstance(x, list) and len(x) == 3
+                    and all(type(v) is int for v in x)):
+                raise ValueError(f"bad RGB triple {x!r}")
+            return tuple(x)
 
         kwargs = {}
         if "not_entered" in data:

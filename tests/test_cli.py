@@ -230,6 +230,10 @@ class TestRender:
         assert code == 2
 
     @pytest.mark.parametrize("text", ['{"not_entered": [Infinity, 0, 0]}',
+                                      '{"not_entered": [12.7, true, "5"]}',
+                                      '{"not_entered": [12, 1, true]}',
+                                      '{"not_entered": [12.0, 1, 5]}',
+                                      '{"entered_cycle": ["abc"]}',
                                       "[1, 2, 3]"])
     def test_palette_bad_value_or_root_is_usage_error(self, text, tmp_path, capsys):
         bad = tmp_path / "palette.json"

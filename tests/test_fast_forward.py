@@ -2,10 +2,12 @@
 
 render._classify settles a seed once render._certify proves its class:
 not_entered when the steps left neither enter L nor overflow, entered at
-step k + m when the margin bounds fix its entry step.  The classes must be
-those of plain iteration (classify_reference.py), whatever the slice,
-budget, threshold or worker count; the certificate is tested on hand-built
-states at the edges of its bounds.
+step k + m when the margin bounds fix its entry step.  The states in R_inf
+that the certificate leaves open are finished by render._finish, plain
+iteration after the main loop.  The classes must be those of plain
+iteration (classify_reference.py), whatever the slice, budget, threshold
+or worker count; the certificate is tested on hand-built states at the
+edges of its bounds, and the finisher on hand-built states in R_inf.
 """
 
 import functools
@@ -17,7 +19,7 @@ import pytest
 from classify_reference import reference_classify
 
 from bakerbench import render
-from bakerbench.core import PlanePoint, step
+from bakerbench.core import PlanePoint, in_r_inf, step
 from bakerbench.domain import FAR_FIELD, FAR_MARGIN_STEP, L_THRESHOLD
 from bakerbench.render import PixelClass, SliceSpec, classify_point, render_slice
 
@@ -111,6 +113,17 @@ class TestCounter:
         r = render_slice(SLICES["default"], 200, workers=2)
         assert r.certified_entries == 0
         assert r.map_evals == plain_map_evals(*plain("default", 200), 200)
+
+    @pytest.mark.parametrize("budget", [1017, 2000])
+    def test_counters_independent_of_workers_and_chunks_past_the_horizon(
+            self, budget, monkeypatch):
+        # The two tests above at budgets past _HORIZON: the tail takes
+        # states from step 1 on at 1,017, from step 984 on at 2,000.
+        base = render_slice(SLICES["w=0.2"], budget, workers=1)
+        monkeypatch.setattr(render, "CHUNK_PIXELS", 64 * 5)
+        other = render_slice(SLICES["w=0.2"], budget, workers=2)
+        for name in ("map_evals", "fast_forwarded", "certified_entries"):
+            assert getattr(other, name) == getattr(base, name), name
 
 
 def certify(z, w, d, rem=REM):
@@ -282,3 +295,124 @@ class TestEntryCertificate:
         assert classify_point(p, REM) == expected
         z, w = p.arrays()
         assert certify(z[0], w[0], w[0] - z[0]) == (10 if im_w < 2.0**1000 else 0)
+
+
+def finish(states, k, budget, threshold=L_THRESHOLD):
+    """render._finish on hand-built states (z, w) in R_inf, with margins
+    d = w - z, that join the tail at steps k: (codes, steps, evals)."""
+    z = np.array([complex(s[0]) for s in states])
+    w = np.array([complex(s[1]) for s in states])
+    assert in_r_inf(z, w).all()
+    codes = np.full(z.shape, render._CODE_NOT_ENTERED, dtype=np.uint8)
+    steps = np.full(z.shape, -1, dtype=np.int32)
+    evals = render._finish(np.arange(z.size), z, w, w - z, np.array(k), budget,
+                           threshold, codes, steps)
+    return codes, steps, evals
+
+
+def plain_from(states, k, budget, threshold=L_THRESHOLD):
+    """Plain iteration of the same states from their steps k to the end of
+    the budget: classify_reference over budget - k steps, with its steps
+    shifted by k, and its map evaluations."""
+    codes, steps, evals = [], [], 0
+    for (z, w), k0 in zip(states, k):
+        c, s = reference_classify(np.array([complex(z)]), np.array([complex(w)]),
+                                  budget - k0, threshold)
+        evals += plain_map_evals(c, s, budget - k0)
+        codes.append(c[0])
+        steps.append(s[0] + k0 if s[0] >= 0 else -1)
+    return np.array(codes), np.array(steps), evals
+
+
+def finishes_as_plain(states, k, budget):
+    codes, steps, evals = finish(states, k, budget)
+    expected = plain_from(states, k, budget)
+    assert np.array_equal(codes, expected[0])
+    assert np.array_equal(steps, expected[1])
+    assert evals == expected[2]
+    return [render._pixel_class(int(c), int(s)) for c, s in zip(codes, steps)]
+
+
+def margin_state(d):
+    """A state of R_inf with margin d, Re w = 400 and Re(z + w) = 800 - d;
+    its margin rises by exactly 1 per step."""
+    return 400 - d, 400
+
+
+class TestFinish:
+    @pytest.mark.parametrize("state, after", [
+        # Im w doubles exactly: 2^1023 after 8 steps, the 9th overflows
+        ((1000, 400 + 2.0**1015 * 1j), 8),
+        # Re w = 2^j 1e300 + 2^j - 1 leaves double range at j = 28
+        ((2e300, 1e300), 27),
+    ], ids=["im-w", "re-w"])
+    def test_overflow_at_the_step_that_overflows(self, state, after):
+        k0 = 5
+        assert finishes_as_plain([state], [k0], REM) == [
+            PixelClass("overflowed", k0 + after)]
+
+    def test_entry_at_the_last_step_and_a_miss_by_a_half(self):
+        # margins 1.5 and 1.0 at the last step: the second is not above the
+        # threshold, and would enter one step past the budget.
+        k0, budget = 40, 100
+        states = [margin_state(1.5 - (budget - k0)), margin_state(1.0 - (budget - k0))]
+        assert finishes_as_plain(states, [k0, k0], budget) == [
+            PixelClass("entered", budget), PixelClass("not_entered")]
+
+    def test_entry_at_the_first_step(self):
+        # margin 0.5, outside L at k0, 1.5 one step later
+        assert finishes_as_plain([margin_state(0.5)], [7], REM) == [
+            PixelClass("entered", 8)]
+
+    def test_budget_ends_inside_the_finisher(self):
+        # Re d = -600 enters after 602 steps and Im w = 2^1000 overflows
+        # after 23: neither within the 20 steps left.
+        states = [(1000, 400), (1000, 400 + 2.0**1000 * 1j)]
+        assert finishes_as_plain(states, [REM - 20] * 2, REM) == [
+            PixelClass("not_entered")] * 2
+        assert finish(states, [REM - 20] * 2, REM)[2] == 40
+
+    def test_states_joining_at_different_steps(self):
+        states = [(1000, 400 + 2.0**1015 * 1j), margin_state(-30.5),
+                  margin_state(1.0 - 10), (1000, 400), (2e300, 1e300)]
+        k = [3, 50, REM - 10, 120, 0]
+        assert finishes_as_plain(states, k, REM) == [
+            PixelClass("overflowed", 11), PixelClass("entered", 82),
+            PixelClass("not_entered"), PixelClass("not_entered"),
+            PixelClass("overflowed", 27)]
+
+    def test_classify_hands_off_at_different_steps(self, monkeypatch):
+        # Im w past the overflow guard: the certificate settles none of
+        # them.  Two lie in R_inf at step 0, two reach it at step 5.
+        joined = []
+
+        def spy(idx, z, w, d, k, *rest):
+            joined.extend(k.tolist())
+            return finish_(idx, z, w, d, k, *rest)
+
+        finish_ = render._finish
+        monkeypatch.setattr(render, "_finish", spy)
+        z = np.array([1000, 1000, 2e300, 30], dtype=np.complex128)
+        w = np.array([400 + 2.0**1015 * 1j, 20 + 2.0**1000 * 1j, 1e300,
+                      20 + 2.0**990 * 1j])
+        codes, steps, *_ = render._classify(z, w, REM, L_THRESHOLD)
+        assert sorted(joined) == [0, 0, 5, 5]
+        expected = reference_classify(z, w, REM, L_THRESHOLD)
+        assert np.array_equal(codes, expected[0])
+        assert np.array_equal(steps, expected[1])
+
+
+def test_main_loop_ends_before_the_tail(monkeypatch):
+    # Not a timing: the states in R_inf that _certify leaves open go to
+    # _finish, so the main loop, and with it _certify, stops early on
+    # w = 0.2 (103 calls when the tail stayed in the main loop).
+    calls = []
+    certify_ = render._certify
+
+    def spy(*args):
+        calls.append(args)
+        return certify_(*args)
+
+    monkeypatch.setattr(render, "_certify", spy)
+    render_slice(SLICES["w=0.2"], 200, workers=2)
+    assert len(calls) <= 20
