@@ -40,11 +40,11 @@ S_CUT = 746.0
 W_CUT = 373.0
 
 
-def in_r_inf(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Where the states (z, w) lie in R_inf: Re(z + w) > S_CUT and Re w >
-    W_CUT, with Re(z + w) rounded as z + w rounds it."""
-    with np.errstate(over="ignore"):
-        return (z.real + w.real > S_CUT) & (w.real > W_CUT)
+def in_r_inf(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Where the states with s = z + w lie in R_inf: Re s > S_CUT, Re w > W_CUT;
+    on the least Re s and Re w of a batch, whether all of its states do."""
+    return (s.real > S_CUT) & (w.real > W_CUT)
+
 
 # Seeds that ``orbits`` iterates together.  It bounds the memory of the
 # kernel's temporaries, whatever the number of seeds.
@@ -126,7 +126,7 @@ def step(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = z + w
-        if in_r_inf(z, w).all():
+        if in_r_inf(s.real.min(initial=np.inf), w.real.min(initial=np.inf)):
             z1 = s + 0.0
             w1 = 2 * w + 1
             d1 = d + 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PlanePoint, in_r_inf, step
+from .core import W_CUT, PlanePoint, in_r_inf, step
 from .domain import (FAR_FIELD, FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD,
                      in_wedge)
 
@@ -278,8 +278,10 @@ def _classify(
             fast += int((m < 0).sum())
             keep = m == 0
             idx, z, w, d = idx[keep], z[keep], w[keep], d[keep]
-        if budget - k <= _HORIZON:
-            far = in_r_inf(z, w)
+        # a max guard, as in core.exponentials: no mask where none is far
+        if budget - k <= _HORIZON and w.real.max(initial=-np.inf) > W_CUT:
+            with np.errstate(over="ignore"):
+                far = in_r_inf(z + w, w)
             if far.any():
                 tail.append((idx[far], z[far], w[far], d[far], np.full(far.sum(), k)))
                 idx, z, w, d = idx[~far], z[~far], w[~far], d[~far]
@@ -300,9 +302,8 @@ def _finish(
 ) -> int:
     """Plain iteration to the end of the budget of the seeds idx, whose
     states (z, w, d) after k < budget steps, one k per seed, lie in R_inf
-    outside L_threshold; records their classes as _classify does and
-    returns the map evaluations.  R_inf is forward invariant, so every
-    step takes core.step's exp-free branch."""
+    outside L_threshold: records their classes as _classify does, returns
+    the map evaluations.  Every step is core.step's exp-free branch."""
     evals = 0
     while idx.size:
         evals += idx.size

@@ -302,7 +302,7 @@ def finish(states, k, budget, threshold=L_THRESHOLD):
     d = w - z, that join the tail at steps k: (codes, steps, evals)."""
     z = np.array([complex(s[0]) for s in states])
     w = np.array([complex(s[1]) for s in states])
-    assert in_r_inf(z, w).all()
+    assert in_r_inf(z + w, w).all()
     codes = np.full(z.shape, render._CODE_NOT_ENTERED, dtype=np.uint8)
     steps = np.full(z.shape, -1, dtype=np.int32)
     evals = render._finish(np.arange(z.size), z, w, w - z, np.array(k), budget,
@@ -352,10 +352,10 @@ class TestFinish:
             PixelClass("overflowed", k0 + after)]
 
     def test_entry_at_the_last_step_and_a_miss_by_a_half(self):
-        # margins 1.5 and 1.0 at the last step: the second is not above the
-        # threshold, and would enter one step past the budget.
+        # margins 1.5 and 0.5 at the last step: the second misses the
+        # threshold by 1/2, and would enter one step past the budget.
         k0, budget = 40, 100
-        states = [margin_state(1.5 - (budget - k0)), margin_state(1.0 - (budget - k0))]
+        states = [margin_state(1.5 - (budget - k0)), margin_state(0.5 - (budget - k0))]
         assert finishes_as_plain(states, [k0, k0], budget) == [
             PixelClass("entered", budget), PixelClass("not_entered")]
 
@@ -382,8 +382,8 @@ class TestFinish:
             PixelClass("overflowed", 27)]
 
     def test_classify_hands_off_at_different_steps(self, monkeypatch):
-        # Im w past the overflow guard: the certificate settles none of
-        # them.  Two lie in R_inf at step 0, two reach it at step 5.
+        # Components past the overflow guard: the certificate settles none
+        # of them.  Two lie in R_inf at step 0, two reach it at step 5.
         joined = []
 
         def spy(idx, z, w, d, k, *rest):
