@@ -8,12 +8,13 @@ over a compacted active set and tests ``domain.in_wedge`` on the carried
 margin.  A seed leaves the active set early once the far-field
 certificate (``_certify``; ``_classify`` states the proof) settles the
 class that plain iteration gives it at the end of the budget, so codes
-and steps are those of plain iteration.  Seeds in R_inf that it leaves
-open, such as those near overflow, go to a tail that ``_finish`` iterates
-after the main loop, without exponentials.  The slice is cut into chunks of
-interleaved whole rows, classified independently by a pool of workers
-into disjoint output rows, so grids and emitted bytes are identical for
-any worker count.
+and steps are those of plain iteration.  The seeds in R_inf that it
+leaves open, those whose overflow guard fails within the budget and those
+whose distance to the threshold lies within the rounding term of an
+integer, go to a tail that ``_finish`` iterates after the main loop,
+without exponentials.  The slice is cut into chunks of interleaved whole
+rows, classified independently by a pool of workers into disjoint output
+rows, so grids and emitted bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -131,14 +132,14 @@ def _pixel_grid(spec: SliceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 # Unit roundoff of double precision.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
-# n more steps keep every component below 2^(n + 3) times the largest
-# component now; a state whose components are all below 2^(_SAFE_EXP - n)
-# stays below 2^1023, a bit short of the largest double.
-_SAFE_EXP = 1020
+# The overflow guard of _certify keeps every part of a state below half of
+# 2^1024, the end of double range, as slack for rounding.
+_OVERFLOW_CAP = math.ldexp(1.0, 1023)
 
-# Every state of R has a component above FAR_FIELD > 2^3, so no class that
-# needs the overflow guard for more than _HORIZON steps is certified.
-_HORIZON = _SAFE_EXP - 4
+# Every state of R has W + 2 > 12 > 2^3, W its largest w part, so none
+# passes the overflow guard for more than 1,018 steps; the certificate is
+# tried only with at most _HORIZON steps left, two steps short of that.
+_HORIZON = 1016
 
 
 def _certify(
@@ -161,12 +162,12 @@ def _certify(
     if not far.any():  # as on most steps: spare the bound's temporaries
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        # Staying out needs |Re d| below the overflow cap of rem steps, and
-        # entering needs m <= rem, so Re d + rem > threshold; the seeds
-        # that iterate until they overflow, with huge components, pass
-        # neither and spare the bound.
+        # Staying out needs the overflow guard of rem steps, so Re w <
+        # 2^(1022 - rem), and entering needs m <= rem, so Re d + rem >
+        # threshold; the seeds that iterate until they overflow, with huge
+        # w, pass neither and spare the bound.
         dr = d.real
-        far &= (np.abs(dr) < math.ldexp(1.0, _SAFE_EXP - rem)) | (dr + rem > threshold)
+        far &= (w.real < math.ldexp(1.0, 1022 - rem)) | (dr + rem > threshold)
         far &= z.real + w.real > FAR_FIELD
         i = np.flatnonzero(far)
         if not i.size:
@@ -174,23 +175,26 @@ def _certify(
         z, w, d = z[i], w[i], d[i]
         dr = d.real
         rounding = 8 * _UNIT_ROUNDOFF * (np.abs(dr) + abs(threshold) + 2)
-        hi = FAR_MARGIN_STEP + rounding
+        exact = in_r_inf(z + w, w)  # the margin rises by fl(d + 1) there
+        hi = np.where(exact, 1.0, FAR_MARGIN_STEP) + rounding
+        lo = np.where(exact, 1.0, FAR_MARGIN_STEP_MIN) - rounding
         out = dr + rem * hi <= threshold
         # The first step at which the upper bound may lift Re d above the
         # threshold; entry there is certified where the lower bound does.
         m = np.maximum(np.floor((threshold - dr) / hi) + 1, 1)
-        enter = ((dr + m * (FAR_MARGIN_STEP_MIN - rounding) > threshold)
+        enter = ((dr + m * lo > threshold)
                  & ((m == 1) | (dr + (m - 1) * hi <= threshold)) & (m <= rem))
-        # The overflow guard, for the steps each class needs: rem to stay
-        # out, m to enter.  As m <= rem, only an entry that fails it for
-        # rem steps needs its own cap.
-        big = np.abs(z.real)
-        for x in (z.imag, w.real, w.imag, d.real, d.imag):
-            np.maximum(big, np.abs(x), out=big)
-        safe = big < math.ldexp(1.0, _SAFE_EXP - rem)
+        # The overflow guard Z + 2^(n + 1)(W + 2) < 2^1023, for the steps n
+        # each class needs: rem to stay out, m to enter.  As m <= rem, only
+        # an entry that fails it for rem steps needs its own n.
+        big_z = np.maximum(np.maximum(np.abs(z.real), np.abs(z.imag)),
+                           np.maximum(np.abs(dr), np.abs(d.imag)))
+        big_w = np.maximum(np.abs(w.real), np.abs(w.imag)) + 2
+        safe = big_z + big_w * math.ldexp(1.0, rem + 1) < _OVERFLOW_CAP
         late = enter & ~safe
         if late.any():
-            safe[late] = big[late] < np.ldexp(1.0, _SAFE_EXP - m[late].astype(np.int64))
+            n = m[late].astype(np.int64)
+            safe[late] = big_z[late] + np.ldexp(big_w[late], n + 1) < _OVERFLOW_CAP
     settled = (out | enter) & safe
     if not settled.any():
         return None
@@ -217,10 +221,15 @@ def _classify(
       1 - e^{-2W} and Re(z' + w') > Re(z + w) + 2 Re w.  Its real parts are
       compared as the step computes them.
     - Each step raises Re d by 1 + Re e^{-2w} - Re e^{-(z+w)}, which in R
-      lies between lo = FAR_MARGIN_STEP_MIN - r and hi = FAR_MARGIN_STEP +
-      r, FAR_MARGIN_STEP_MIN = 1 - e^{-2W} - e^{-W} and FAR_MARGIN_STEP =
-      1 + e^{-2W} + e^{-W}, with a rounding term r per step.  So Re d_{k+j}
-      lies between Re d_k + j lo and Re d_k + j hi.
+      lies between FAR_MARGIN_STEP_MIN = 1 - e^{-2W} - e^{-W} and
+      FAR_MARGIN_STEP = 1 + e^{-2W} + e^{-W}.  In R_inf = {Re(z + w) >
+      core.S_CUT, Re w > core.W_CUT}, which F maps into itself as computed,
+      both exponentials are +0 and the step raises Re d by exactly
+      fl(Re d + 1).  So with a rounding term r per step, the rise lies
+      between lo = 1 - r and hi = 1 + r where core.in_r_inf(z + w, w)
+      holds, and between lo = FAR_MARGIN_STEP_MIN - r and hi =
+      FAR_MARGIN_STEP + r elsewhere in R; Re d_{k+j} lies between Re d_k +
+      j lo and Re d_k + j hi.
     - Rounding to nearest is monotone, so the computed margins stay between
       the same bounds run in floating point.  The margin update rounds
       three times per step, each time by at most u = 2^-53 times a
@@ -237,18 +246,21 @@ def _classify(
       (m - 1) hi test catches.  Entry also needs Re z and Re w above 1,
       which one step in R gives: Re z' >= Re s - e^{-Re s} > W - e^{-W} >
       1, s = z + w, and Re w' > 2W.  Where the bounds disagree, at margins
-      whose distance to the threshold lies within m (e^{-W} + e^{-2W} + r)
-      of an integer, the seed keeps iterating and is tested again after
-      the next step.
-    - The overflow guard: per step |w| at most doubles plus 2, |z| grows
-      by at most |w| + 1 and |d| by at most 2.  So after n steps every
-      component is below 2^(n + 3) M, M the largest component now, and a
-      class is certified only if M < 2^(1020 - n), for the n steps it
-      needs: rem to stay out, m to enter.  Elsewhere plain iteration
-      decides: where the bound reaches the largest double, it may end in
-      overflowed, as every far seed of w = 0.2 does at budget 2,000.  No
-      state of R passes the guard for more than _HORIZON = 1,016 steps, so
-      with more steps left only plain iteration runs.
+      whose distance to the threshold lies within m (hi - lo) of an
+      integer, the seed keeps iterating and is tested again after the next
+      step.
+    - The overflow guard, in which only w doubles: in R each part of w
+      grows as |w'| <= 2|w| + 2, each part of z by at most |w| + 1 and each
+      part of d by at most 2.  With Z the largest part of z and d and W
+      the largest part of w now, every part after n steps stays below Z +
+      2^n (W + 2), and a class is certified only if Z + 2^(n + 1)(W + 2) <
+      2^1023, for the n steps it needs: rem to stay out, m to enter; the
+      factor 2, twice over, is slack for rounding.  Elsewhere plain
+      iteration decides: where the bound reaches the largest double, it may
+      end in overflowed, as every far seed of w = 0.2 does at budget 2,000.
+      As W + 2 > 12, no state of R passes the guard for more than 1,018
+      steps; with more than _HORIZON = 1,016 left only plain iteration
+      runs.
 
     With at most _HORIZON steps left, a seed left open in R_inf moves to
     the tail with its step k, a rule on the state and k only, so that the
@@ -436,10 +448,20 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     ent, ovf = len(palette.entered_cycle), len(palette.overflowed_cycle)
     lut = np.array([palette.not_entered, *palette.entered_cycle,
                     *palette.overflowed_cycle], dtype=np.uint8)
-    idx = np.where(r.codes == _CODE_ENTERED, 1 + r.steps % ent,
-                   np.where(r.codes == _CODE_OVERFLOWED, 1 + ent + r.steps % ovf, 0))
+    # The colour of each (code, step) pair, steps -1..n - 2, as one RGB0
+    # word: a pixel is one gather at codes * n + steps + 1, and its fourth
+    # byte is dropped.  n follows the steps, not the budget.
+    n = int(r.steps.max()) + 2
+    s = np.arange(-1, n - 1)
+    colour = np.empty((len(_CODE_TO_TAG), n), dtype=np.intp)
+    colour[_CODE_NOT_ENTERED] = 0
+    colour[_CODE_ENTERED] = 1 + s % ent
+    colour[_CODE_OVERFLOWED] = 1 + ent + s % ovf
+    rgb0 = np.zeros((*colour.shape, 4), dtype=np.uint8)
+    rgb0[..., :3] = lut[colour]
+    words = rgb0.view(np.uint32).ravel()[r.codes.astype(np.intp) * n + r.steps + 1]
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
-    return header + lut[idx].tobytes()
+    return header + words.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
 
 
 def _lookup(keys: np.ndarray, fmt) -> list:

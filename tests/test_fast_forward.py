@@ -65,7 +65,7 @@ def plain_map_evals(codes, steps, budget):
 
 class TestMatchesPlainIteration:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("budget", [1, 2, 5, 200, 2000])
+    @pytest.mark.parametrize("budget", [1, 2, 5, 200, 1000, 2000])
     @pytest.mark.parametrize("name", SLICES)
     def test_codes_and_steps(self, name, budget, workers):
         for threshold in THRESHOLDS:
@@ -82,7 +82,8 @@ class TestMatchesPlainIteration:
     def test_no_warnings_at_budget_2000(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            render_slice(SLICES["w=0.2"], 2000, workers=2)
+            for budget in (1000, 2000):
+                render_slice(SLICES["w=0.2"], budget, workers=2)
 
 
 class TestCounter:
@@ -114,6 +115,15 @@ class TestCounter:
         assert r.certified_entries == 0
         assert r.map_evals == plain_map_evals(*plain("default", 200), 200)
 
+    def test_far_tail_settled_at_budget_1000(self):
+        # The far seeds of w = 0.2 that enter or stay out are settled by
+        # the certificate at budget 1,000 as at 200, not iterated to the
+        # end of the budget in the tail (204,598 against 11,854 when the
+        # guard doubled every component and R_inf kept the e^{-W} slack).
+        evals = {b: render_slice(SLICES["w=0.2"], b, workers=2).map_evals
+                 for b in (200, 1000)}
+        assert evals[1000] < 2 * evals[200]
+
     @pytest.mark.parametrize("budget", [1017, 2000])
     def test_counters_independent_of_workers_and_chunks_past_the_horizon(
             self, budget, monkeypatch):
@@ -126,12 +136,30 @@ class TestCounter:
             assert getattr(other, name) == getattr(base, name), name
 
 
-def certify(z, w, d, rem=REM):
+def certify(z, w, d, rem=REM, threshold=L_THRESHOLD):
     """_certify on one hand-built state (z, w) with carried margin d: the
     entry step m, -1 for not_entered, or 0 where neither is certified."""
     z, w, d = (np.array([complex(x)]) for x in (z, w, d))
-    outcome = render._certify(z, w, d, rem, L_THRESHOLD)
+    outcome = render._certify(z, w, d, rem, threshold)
     return 0 if outcome is None else int(outcome[0])
+
+
+def plain_class(z, w, rem=REM, threshold=L_THRESHOLD):
+    """The class that plain iteration gives the seed (z, w) in rem steps."""
+    codes, steps = reference_classify(np.array([complex(z)]), np.array([complex(w)]),
+                                      rem, threshold)
+    return render._pixel_class(int(codes[0]), int(steps[0]))
+
+
+def certified_as_plain(z, w, rem=REM, threshold=L_THRESHOLD):
+    """certify on the seed (z, w), with margin w - z, where it agrees with
+    plain iteration; fails where it certifies another class."""
+    m = certify(z, w, complex(w) - complex(z), rem, threshold)
+    expected = plain_class(z, w, rem, threshold)
+    if m:
+        assert render._pixel_class(render._CODE_ENTERED if m > 0 else
+                                   render._CODE_NOT_ENTERED, m) == expected
+    return m
 
 
 def stays_out(z, w, d, rem=REM):
@@ -203,6 +231,48 @@ class TestStepsLeft:
         p = self.seed(0.5 - REM)
         assert classify_point(p, REM) == PixelClass("not_entered")
         assert render._classify(*p.arrays(), REM, L_THRESHOLD)[2] == 1
+
+
+class TestOverflowGuard:
+    # Z + 2^(n + 1)(W + 2) < 2^1023: only the w parts double per step,
+    # the z and d parts grow additively.
+    def test_huge_z_with_modest_w_stays_out(self):
+        # Re z = 2^1000, w = 20, Re d = -2^1000; the guard that doubled
+        # every component failed it for 200 steps.
+        assert certified_as_plain(2.0**1000, 20.0) == -1
+
+    @pytest.mark.parametrize("re_z, settled", [
+        (2.0**1022 - 2.0**970, True),  # Z + 2^201 2^821 = 2^1023 - 2^970
+        (2.0**1022, False),  # Z + 2^201 2^821 = 2^1023
+    ], ids=["inside", "outside"])
+    def test_edge_of_the_guard(self, re_z, settled):
+        # W + 2 rounds to W = 2^821, so with rem = 200 the guard reads
+        # Z + 2^1022 < 2^1023, Z = |Re z| = |Re d|.
+        assert certified_as_plain(re_z, 2.0**821) == (-1 if settled else 0)
+        assert plain_class(re_z, 2.0**821) == PixelClass("not_entered")
+
+
+class TestExactRiseInRInf:
+    # In R_inf the margin rises by exactly fl(d + 1) per step; the bounds
+    # 1 -+ r keep only the rounding term r there.
+    D = -154.997  # enters after 156 steps: within 0.003 of an integer
+
+    def test_entry_near_an_integer_distance(self):
+        # Re w = 393 as in the tail of w = 0.2; 156 e^{-W} > 0.003, so the
+        # bounds of R leave it open.
+        assert in_r_inf(np.array([393 - self.D + 393]), np.array([393.0]))[0]
+        assert certified_as_plain(393 - self.D, 393.0) == 156
+
+    def test_same_margin_outside_r_inf_stays_open(self):
+        assert certify(20 - self.D, 20.0, self.D) == 0
+
+    def test_margin_that_rounding_stops_stays_open(self):
+        # Past 2^53, fl(d + 1) = d at Re d = 2^53 + 4 (a tie to even), so
+        # the margin never reaches 2^53 + 10, though d + 7 rounds above it.
+        threshold = 2.0**53 + 10
+        z, w = 400.0, 2.0**53 + 404
+        assert plain_class(z, w, threshold=threshold) == PixelClass("not_entered")
+        assert certified_as_plain(z, w, threshold=threshold) == 0
 
 
 M = 100  # entry step of the hand-built entrants below

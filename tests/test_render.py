@@ -283,6 +283,33 @@ class TestPpm:
                 expected += bytes(rgb)
         assert write_ppm(r, palette) == bytes(expected)
 
+    @pytest.mark.parametrize("ent, ovf", [(1, 3), (3, 16), (16, 1)])
+    def test_hand_built_raster_matches_per_pixel_formula(self, ent, ovf):
+        # Every code with every step from -1 to past the budget, shuffled,
+        # against the colour index of each pixel computed on its own.
+        palette = PaletteSpec(
+            not_entered=(1, 2, 3),
+            entered_cycle=tuple((10 + k, 100, 0) for k in range(ent)),
+            overflowed_cycle=tuple((0, 200, 50 + k) for k in range(ovf)),
+        )
+        budget = 20
+        codes, steps = np.meshgrid(np.arange(3, dtype=np.uint8),
+                                   np.arange(-1, budget + 6, dtype=np.int32))
+        order = np.random.Generator(np.random.PCG64(7)).permutation(codes.size)
+        codes, steps = codes.ravel()[order].reshape(9, 9), steps.ravel()[order].reshape(9, 9)
+        lut = np.array([palette.not_entered, *palette.entered_cycle,
+                        *palette.overflowed_cycle], dtype=np.uint8)
+        idx = np.where(codes == render._CODE_ENTERED, 1 + steps % ent,
+                       np.where(codes == render._CODE_OVERFLOWED, 1 + ent + steps % ovf, 0))
+        expected = b"P6\n9 9\n255\n" + lut[idx].tobytes()
+        spec = SliceSpec(*CSV_SLICES["default"], u_range=(-1.0, 1.0),
+                         v_range=(-1.0, 1.0), width=9, height=9)
+        for b in (budget, 10**12):  # the colour table follows the steps only
+            r = render.RasterResult(spec=spec, budget=b, threshold=1.0, codes=codes,
+                                    steps=steps, fast_forwarded=0,
+                                    certified_entries=0, map_evals=0)
+            assert write_ppm(r, palette) == expected
+
     def test_palette_validation(self):
         with pytest.raises(ValueError):
             PaletteSpec(not_entered=(0, 0, 999))
