@@ -175,7 +175,7 @@ def _certify(
         z, w, d = z[i], w[i], d[i]
         dr = d.real
         rounding = 8 * _UNIT_ROUNDOFF * (np.abs(dr) + abs(threshold) + 2)
-        exact = in_r_inf(z + w, w)  # the margin rises by fl(d + 1) there
+        exact = in_r_inf(z.real + w.real, w)  # rise fl(d + 1): no slack
         hi = np.where(exact, 1.0, FAR_MARGIN_STEP) + rounding
         lo = np.where(exact, 1.0, FAR_MARGIN_STEP_MIN) - rounding
         out = dr + rem * hi <= threshold
@@ -187,9 +187,10 @@ def _certify(
         # The overflow guard Z + 2^(n + 1)(W + 2) < 2^1023, for the steps n
         # each class needs: rem to stay out, m to enter.  As m <= rem, only
         # an entry that fails it for rem steps needs its own n.
-        big_z = np.maximum(np.maximum(np.abs(z.real), np.abs(z.imag)),
-                           np.maximum(np.abs(dr), np.abs(d.imag)))
-        big_w = np.maximum(np.abs(w.real), np.abs(w.imag)) + 2
+        big_z = np.abs(z.real)
+        for x in (z.imag, dr, d.imag):
+            np.maximum(big_z, np.abs(x), out=big_z)
+        big_w = np.maximum(w.real, np.abs(w.imag)) + 2  # Re w > 0 in R
         safe = big_z + big_w * math.ldexp(1.0, rem + 1) < _OVERFLOW_CAP
         late = enter & ~safe
         if late.any():
@@ -449,8 +450,9 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     lut = np.array([palette.not_entered, *palette.entered_cycle,
                     *palette.overflowed_cycle], dtype=np.uint8)
     # The colour of each (code, step) pair, steps -1..n - 2, as one RGB0
-    # word: a pixel is one gather at codes * n + steps + 1, and its fourth
-    # byte is dropped.  n follows the steps, not the budget.
+    # word; n follows the steps, not the budget.  A pixel is one gather at
+    # codes * n + steps + 1 with its fourth byte dropped, in blocks of about
+    # CHUNK_PIXELS pixels of whole rows, which bound the index temporaries.
     n = int(r.steps.max()) + 2
     s = np.arange(-1, n - 1)
     colour = np.empty((len(_CODE_TO_TAG), n), dtype=np.intp)
@@ -459,9 +461,15 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     colour[_CODE_OVERFLOWED] = 1 + ent + s % ovf
     rgb0 = np.zeros((*colour.shape, 4), dtype=np.uint8)
     rgb0[..., :3] = lut[colour]
-    words = rgb0.view(np.uint32).ravel()[r.codes.astype(np.intp) * n + r.steps + 1]
+    words = rgb0.view(np.uint32).ravel()
+    rgb = np.empty((*r.codes.shape, 3), dtype=np.uint8)
+    block = max(1, CHUNK_PIXELS // r.spec.width)
+    for lo in range(0, r.spec.height, block):
+        rows = slice(lo, lo + block)
+        key = r.codes[rows].astype(np.intp) * n + r.steps[rows] + 1
+        rgb[rows] = words[key].view(np.uint8).reshape(*key.shape, 4)[..., :3]
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
-    return header + words.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return header + rgb.tobytes()
 
 
 def _lookup(keys: np.ndarray, fmt) -> list:

@@ -284,9 +284,11 @@ class TestPpm:
         assert write_ppm(r, palette) == bytes(expected)
 
     @pytest.mark.parametrize("ent, ovf", [(1, 3), (3, 16), (16, 1)])
-    def test_hand_built_raster_matches_per_pixel_formula(self, ent, ovf):
+    def test_hand_built_raster_matches_per_pixel_formula(self, ent, ovf, monkeypatch):
         # Every code with every step from -1 to past the budget, shuffled,
-        # against the colour index of each pixel computed on its own.
+        # against the colour index of each pixel computed on its own;
+        # blocks of two rows, the last one short.
+        monkeypatch.setattr(render, "CHUNK_PIXELS", 2 * 9)
         palette = PaletteSpec(
             not_entered=(1, 2, 3),
             entered_cycle=tuple((10 + k, 100, 0) for k in range(ent)),
@@ -296,11 +298,12 @@ class TestPpm:
         codes, steps = np.meshgrid(np.arange(3, dtype=np.uint8),
                                    np.arange(-1, budget + 6, dtype=np.int32))
         order = np.random.Generator(np.random.PCG64(7)).permutation(codes.size)
-        codes, steps = codes.ravel()[order].reshape(9, 9), steps.ravel()[order].reshape(9, 9)
+        codes, steps = (x.ravel()[order].reshape(9, 9) for x in (codes, steps))
         lut = np.array([palette.not_entered, *palette.entered_cycle,
                         *palette.overflowed_cycle], dtype=np.uint8)
         idx = np.where(codes == render._CODE_ENTERED, 1 + steps % ent,
-                       np.where(codes == render._CODE_OVERFLOWED, 1 + ent + steps % ovf, 0))
+                       np.where(codes == render._CODE_OVERFLOWED,
+                                1 + ent + steps % ovf, 0))
         expected = b"P6\n9 9\n255\n" + lut[idx].tobytes()
         spec = SliceSpec(*CSV_SLICES["default"], u_range=(-1.0, 1.0),
                          v_range=(-1.0, 1.0), width=9, height=9)
