@@ -451,8 +451,7 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
                     *palette.overflowed_cycle], dtype=np.uint8)
     # The colour of each (code, step) pair, steps -1..n - 2, as one RGB0
     # word; n follows the steps, not the budget.  A pixel is one gather at
-    # codes * n + steps + 1 with its fourth byte dropped, in blocks of about
-    # CHUNK_PIXELS pixels of whole rows, which bound the index temporaries.
+    # codes * n + steps + 1, with its fourth byte dropped.
     n = int(r.steps.max()) + 2
     s = np.arange(-1, n - 1)
     colour = np.empty((len(_CODE_TO_TAG), n), dtype=np.intp)
@@ -461,13 +460,10 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     colour[_CODE_OVERFLOWED] = 1 + ent + s % ovf
     rgb0 = np.zeros((*colour.shape, 4), dtype=np.uint8)
     rgb0[..., :3] = lut[colour]
-    words = rgb0.view(np.uint32).ravel()
-    rgb = np.empty((*r.codes.shape, 3), dtype=np.uint8)
-    block = max(1, CHUNK_PIXELS // r.spec.width)
-    for lo in range(0, r.spec.height, block):
-        rows = slice(lo, lo + block)
-        key = r.codes[rows].astype(np.intp) * n + r.steps[rows] + 1
-        rgb[rows] = words[key].view(np.uint8).reshape(*key.shape, 4)[..., :3]
+    key = r.codes.astype(np.intp) * n + r.steps + 1
+    words = rgb0.view(np.uint32).ravel()[key]
+    rgb = np.empty((*key.shape, 3), dtype=np.uint8)
+    rgb[...] = words.view(np.uint8).reshape(*key.shape, 4)[..., :3]
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
     return header + rgb.tobytes()
 

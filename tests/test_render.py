@@ -284,11 +284,9 @@ class TestPpm:
         assert write_ppm(r, palette) == bytes(expected)
 
     @pytest.mark.parametrize("ent, ovf", [(1, 3), (3, 16), (16, 1)])
-    def test_hand_built_raster_matches_per_pixel_formula(self, ent, ovf, monkeypatch):
+    def test_hand_built_raster_matches_per_pixel_formula(self, ent, ovf):
         # Every code with every step from -1 to past the budget, shuffled,
-        # against the colour index of each pixel computed on its own;
-        # blocks of two rows, the last one short.
-        monkeypatch.setattr(render, "CHUNK_PIXELS", 2 * 9)
+        # against the colour index of each pixel computed on its own.
         palette = PaletteSpec(
             not_entered=(1, 2, 3),
             entered_cycle=tuple((10 + k, 100, 0) for k in range(ent)),
