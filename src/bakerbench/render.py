@@ -460,10 +460,9 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     colour[_CODE_OVERFLOWED] = 1 + ent + s % ovf
     rgb0 = np.zeros((*colour.shape, 4), dtype=np.uint8)
     rgb0[..., :3] = lut[colour]
-    key = r.codes.astype(np.intp) * n + r.steps + 1
-    words = rgb0.view(np.uint32).ravel()[key]
-    rgb = np.empty((*key.shape, 3), dtype=np.uint8)
-    rgb[...] = words.view(np.uint8).reshape(*key.shape, 4)[..., :3]
+    words = rgb0.view(np.uint32).ravel()[r.codes.astype(np.intp) * n + r.steps + 1]
+    rgb = np.empty((*words.shape, 3), dtype=np.uint8)
+    rgb[...] = words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
     return header + rgb.tobytes()
 
