@@ -451,7 +451,8 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
                     *palette.overflowed_cycle], dtype=np.uint8)
     # The colour of each (code, step) pair, steps -1..n - 2, as one RGB0
     # word; n follows the steps, not the budget.  A pixel is one gather at
-    # codes * n + steps + 1, with its fourth byte dropped.
+    # codes * n + steps + 1, an int32 key wherever 3n fits, with its fourth
+    # byte dropped.
     n = int(r.steps.max()) + 2
     s = np.arange(-1, n - 1)
     colour = np.empty((len(_CODE_TO_TAG), n), dtype=np.intp)
@@ -460,7 +461,9 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     colour[_CODE_OVERFLOWED] = 1 + ent + s % ovf
     rgb0 = np.zeros((*colour.shape, 4), dtype=np.uint8)
     rgb0[..., :3] = lut[colour]
-    words = rgb0.view(np.uint32).ravel()[r.codes.astype(np.intp) * n + r.steps + 1]
+    key = (r.steps if 3 * n < 2**31 else r.steps.astype(np.intp)) + 1
+    key += r.codes * key.dtype.type(n)
+    words = rgb0.view(np.uint32).ravel()[key]
     rgb = np.empty((*words.shape, 3), dtype=np.uint8)
     rgb[...] = words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
