@@ -154,7 +154,8 @@ def orbits(
     for lo in range(0, z.size, ORBIT_CHUNK):
         idx = np.arange(lo, min(lo + ORBIT_CHUNK, z.size))
         zk, wk = z[idx], w[idx]
-        dk = wk - zk
+        with np.errstate(over="ignore", invalid="ignore"):
+            dk = wk - zk
         yield 0, idx, zk, wk, dk
         for k in range(1, n + 1):
             zk, wk, dk, ok = step(zk, wk, dk)
@@ -178,7 +179,9 @@ def orbit(seed: PlanePoint, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def apply_f(p: PlanePoint) -> PlanePoint:
     """One application of F.  Raises OverflowSignal on any non-finite result."""
     z, w = p.arrays()
-    z1, w1, _, ok = step(z, w, w - z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = w - z
+    z1, w1, _, ok = step(z, w, d)
     if not ok[0]:
         raise OverflowSignal("image of F is non-finite")
     return PlanePoint(complex(z1[0]), complex(w1[0]))

@@ -8,13 +8,12 @@ over a compacted active set and tests ``domain.in_wedge`` on the carried
 margin.  A seed leaves the active set early once the far-field
 certificate (``_certify``; ``_classify`` states the proof) settles the
 class that plain iteration gives it at the end of the budget, so codes
-and steps are those of plain iteration.  The seeds in R_inf that it
-leaves open, those whose overflow guard fails within the budget and those
-whose distance to the threshold lies within the rounding term of an
-integer, go to a tail that ``_finish`` iterates after the main loop,
-without exponentials.  The slice is cut into chunks of interleaved whole
-rows, classified independently by a pool of workers into disjoint output
-rows, so grids and emitted bytes are identical for any worker count.
+and steps are those of plain iteration.  In R_inf, where a step is exact
+(w doubles, z gains w and the margin gains 1), the certificate gives in
+closed form the step at which a seed overflows, so one loop classifies
+every seed.  The slice is cut into chunks of interleaved whole rows,
+classified independently by a pool of workers into disjoint output rows,
+so grids and emitted bytes are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import W_CUT, PlanePoint, in_r_inf, step
+from .core import PlanePoint, in_r_inf, step
 from .domain import (FAR_FIELD, FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD,
                      in_wedge)
 
@@ -135,10 +134,12 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # The overflow guard of _certify keeps every part of a state below half of
 # 2^1024, the end of double range, as slack for rounding.
 _OVERFLOW_CAP = math.ldexp(1.0, 1023)
+_DBL_MAX = np.finfo(np.float64).max
 
 # Every state of R has W + 2 > 12 > 2^3, W its largest w part, so none
-# passes the overflow guard for more than 1,018 steps; the certificate is
-# tried only with at most _HORIZON steps left, two steps short of that.
+# passes the overflow guard for more than 1,018 steps, and every state of
+# R_inf overflows within 1,016; the certificate is tried only with at most
+# _HORIZON steps left.
 _HORIZON = 1016
 
 
@@ -149,25 +150,20 @@ def _certify(
     outside L_threshold and have rem steps left, where the far-field
     certificate of _classify settles them: per state, m in 1..rem where it
     enters L_threshold after exactly m steps, -1 where it stays outside
-    L_threshold and finite for all rem steps, and 0 where neither is
-    certified.  None where no state is settled.
+    L_threshold and finite for all rem steps, -2 - n where it overflows
+    after n < rem steps, and 0 where none is certified.  None where no
+    state is settled.
 
     With more than _HORIZON steps left no state is certified to stay out,
-    and the entries left to certify are not looked for: plain iteration
-    finds them at a lower cost there, where the seeds that iterate until
-    they overflow would be tested at every step."""
+    and the entries and overflows left to certify are not looked for:
+    plain iteration finds them at a lower cost there, where the certificate
+    would be tried at every step."""
     if rem > _HORIZON:
         return None
     far = w.real > FAR_FIELD
     if not far.any():  # as on most steps: spare the bound's temporaries
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        # Staying out needs the overflow guard of rem steps, so Re w <
-        # 2^(1022 - rem), and entering needs m <= rem, so Re d + rem >
-        # threshold; the seeds that iterate until they overflow, with huge
-        # w, pass neither and spare the bound.
-        dr = d.real
-        far &= (w.real < math.ldexp(1.0, 1022 - rem)) | (dr + rem > threshold)
         far &= z.real + w.real > FAR_FIELD
         i = np.flatnonzero(far)
         if not i.size:
@@ -184,24 +180,29 @@ def _certify(
         m = np.maximum(np.floor((threshold - dr) / hi) + 1, 1)
         enter = ((dr + m * lo > threshold)
                  & ((m == 1) | (dr + (m - 1) * hi <= threshold)) & (m <= rem))
-        # The overflow guard Z + 2^(n + 1)(W + 2) < 2^1023, for the steps n
-        # each class needs: rem to stay out, m to enter.  As m <= rem, only
-        # an entry that fails it for rem steps needs its own n.
+        # Each class needs its n steps finite: rem to stay out, m to enter.
+        n = np.where(enter, m, rem).astype(np.int64)
         big_z = np.abs(z.real)
         for x in (z.imag, dr, d.imag):
             np.maximum(big_z, np.abs(x), out=big_z)
-        big_w = np.maximum(w.real, np.abs(w.imag)) + 2  # Re w > 0 in R
-        safe = big_z + big_w * math.ldexp(1.0, rem + 1) < _OVERFLOW_CAP
-        late = enter & ~safe
-        if late.any():
-            n = m[late].astype(np.int64)
-            safe[late] = big_z[late] + np.ldexp(big_w[late], n + 1) < _OVERFLOW_CAP
-    settled = (out | enter) & safe
+        big_w = np.maximum(w.real, np.abs(w.imag))  # Re w > 0 in R
+        safe = big_z + np.ldexp(big_w + 2, n + 1) < _OVERFLOW_CAP
+        settled = (out | enter) & safe
+        outcome = np.where(enter, m, -1)
+        if exact.any():
+            # In R_inf the first non-finite state is the one after j steps
+            # where fin holds.
+            j = 1025 - np.frexp(big_w)[1]
+            fin = (big_z + np.ldexp(big_w + 1, j - 1)) * (1 + 2.0**-40) < _DBL_MAX
+            fin &= exact
+            over = fin & (j <= rem) & (dr + (j - 1) * hi <= threshold)
+            settled |= (out | enter) & fin & (n < j) | over
+            outcome = np.where(over, -1 - j, outcome)
     if not settled.any():
         return None
-    outcome = np.zeros(far.shape, dtype=np.int64)
-    outcome[i[settled]] = np.where(enter, m, -1)[settled]
-    return outcome
+    result = np.zeros(far.shape, dtype=np.int64)
+    result[i[settled]] = outcome[settled]
+    return result
 
 
 def _classify(
@@ -256,23 +257,34 @@ def _classify(
       the largest part of w now, every part after n steps stays below Z +
       2^n (W + 2), and a class is certified only if Z + 2^(n + 1)(W + 2) <
       2^1023, for the n steps it needs: rem to stay out, m to enter; the
-      factor 2, twice over, is slack for rounding.  Elsewhere plain
-      iteration decides: where the bound reaches the largest double, it may
-      end in overflowed, as every far seed of w = 0.2 does at budget 2,000.
-      As W + 2 > 12, no state of R passes the guard for more than 1,018
-      steps; with more than _HORIZON = 1,016 left only plain iteration
-      runs.
-
-    With at most _HORIZON steps left, a seed left open in R_inf moves to
-    the tail with its step k, a rule on the state and k only, so that the
-    counts do not depend on the chunks; _finish iterates the tail.
+      factor 2, twice over, is slack for rounding.  In R_inf, fin below
+      with n < j stands in for the guard.  As W + 2 > 12, no state of R
+      passes the guard for more than 1,018 steps; with more than _HORIZON
+      = 1,016 left only plain iteration runs.
+    - overflowed at step k + j - 1, in R_inf, where a step is exactly
+      (fl(z + w) + 0, fl(2w + 1), fl(d + 1)): with W = f 2^e, f in [1/2,
+      1) as np.frexp gives it, and j = 1025 - e, Im w doubles exactly and
+      Re w' = fl(2 Re w + 1) >= 2 Re w, so the part of w that attains W
+      reaches f 2^1025 >= 2^1024 after j steps unless a part overflowed
+      before: the state after j steps is not finite.  Re w + 1 grows as
+      fl(2x + 1) + 1 <= 2(x + 1)(1 + u), each part of z by the matching
+      part of w and each part of d by at most 1, rounded, so every part
+      after n steps stays below (Z + 2^n (W + 1))(1 + u)^n; the + 1
+      counts where W + 1 passes a power of two, as at W = 2^20 - 1/2.
+      fin, (Z + 2^(j - 1)(W + 1))(1 + 2^-40) < DBL_MAX as computed, keeps
+      the states k + 1..k + j - 1 finite: W > 373 gives j <= 1,016, and
+      (1 + u)^(1016 + 3) < 1 + 2^-40 covers the rounding of the test.
+      Where fin holds, j <= rem and Re d_k + (j - 1) hi <= threshold, the
+      seed stays out of L for those j - 1 steps, and the step from state
+      k + j - 1 overflows.  Where fin fails, as where W lies just below a
+      power of two or a part of z nears DBL_MAX, the seed keeps iterating.
     """
     codes = np.full(z.shape, _CODE_NOT_ENTERED, dtype=np.uint8)
     steps = np.full(z.shape, -1, dtype=np.int32)
     idx = np.arange(z.size)
-    d = w - z
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = w - z
     fast = entries = evals = 0
-    tail = []
     for k in range(budget + 1):
         inside = in_wedge(z, w, d, threshold)
         if inside.any():
@@ -284,54 +296,22 @@ def _classify(
             break
         m = _certify(z, w, d, budget - k, threshold)
         if m is not None:
-            enter = m > 0
+            enter, over = m > 0, m < -1
             codes[idx[enter]] = _CODE_ENTERED
             steps[idx[enter]] = k + m[enter]
+            codes[idx[over]] = _CODE_OVERFLOWED
+            steps[idx[over]] = k - 2 - m[over]
             entries += int(enter.sum())
-            fast += int((m < 0).sum())
+            fast += int((m == -1).sum())
             keep = m == 0
             idx, z, w, d = idx[keep], z[keep], w[keep], d[keep]
-        # a max guard, as in core.exponentials: no mask where none is far
-        if budget - k <= _HORIZON and w.real.max(initial=-np.inf) > W_CUT:
-            with np.errstate(over="ignore"):
-                far = in_r_inf(z + w, w)
-            if far.any():
-                tail.append((idx[far], z[far], w[far], d[far], np.full(far.sum(), k)))
-                idx, z, w, d = idx[~far], z[~far], w[~far], d[~far]
         evals += idx.size
         z, w, d, ok = step(z, w, d)
         if not ok.all():
             codes[idx[~ok]] = _CODE_OVERFLOWED
             steps[idx[~ok]] = k
             idx, z, w, d = idx[ok], z[ok], w[ok], d[ok]
-    if tail:
-        evals += _finish(*map(np.concatenate, zip(*tail)), budget, threshold, codes, steps)
     return codes, steps, fast, entries, evals
-
-
-def _finish(
-    idx: np.ndarray, z: np.ndarray, w: np.ndarray, d: np.ndarray, k: np.ndarray,
-    budget: int, threshold: float, codes: np.ndarray, steps: np.ndarray
-) -> int:
-    """Plain iteration to the end of the budget of the seeds idx, whose
-    states (z, w, d) after k < budget steps, one k per seed, lie in R_inf
-    outside L_threshold: records their classes as _classify does, returns
-    the map evaluations.  Every step is core.step's exp-free branch."""
-    evals = 0
-    while idx.size:
-        evals += idx.size
-        z, w, d, ok = step(z, w, d)
-        k = k + 1
-        inside = ok & in_wedge(z, w, d, threshold)
-        keep = ok & ~inside & (k < budget)
-        if not keep.all():
-            # an overflow is recorded at the step that overflowed, k - 1
-            codes[idx[~ok]] = _CODE_OVERFLOWED
-            steps[idx[~ok]] = k[~ok] - 1
-            codes[idx[inside]] = _CODE_ENTERED
-            steps[idx[inside]] = k[inside]
-            idx, z, w, d, k = idx[keep], z[keep], w[keep], d[keep], k[keep]
-    return evals
 
 
 def classify_point(

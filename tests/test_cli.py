@@ -420,6 +420,27 @@ class TestExitCodes:
         assert err == "numeric failure: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, expected_code, expected_out", [
+        (["iterate", "--z=-1.7e308,746", "--w=1.7e308,-710", "--steps=3"], 0,
+         "margin=inf u_n=-2.0\nnotice=orbit-truncated-by-overflow overflow_step=0\n"),
+        (["psh", "--center-z=1e16,5", "--center-w=746,746", "--dir-z=1e16,746",
+          "--dir-w=0.5,5", "--radius=1.7e308", "--samples=64", "--n=0"], 4, ""),
+        (["render", "--w-fixed=1.7e308,0", "--xmin=-1.7e308", "--xmax=-1.6e308",
+          "--ymin=0", "--ymax=0", "--width=1", "--height=1"], 0,
+         "entered=0 overflowed=1 not_entered=0\n"),
+    ], ids=["iterate", "psh", "render"])
+    def test_seed_whose_margin_leaves_double_range_warns_nothing(
+            self, argv, expected_code, expected_out, tmp_path, monkeypatch, capsys):
+        # w - z overflows, or is inf - inf, at the seed: the margin is not
+        # finite, and the seed overflows at step 0.
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == expected_code and out.endswith(expected_out)
+        assert err == ("" if code == 0 else
+                       "numeric failure: only 0 of 64 circle points usable\n")
+
 
 class TestPsh:
     def test_probe_report(self, capsys):

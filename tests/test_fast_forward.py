@@ -2,12 +2,13 @@
 
 render._classify settles a seed once render._certify proves its class:
 not_entered when the steps left neither enter L nor overflow, entered at
-step k + m when the margin bounds fix its entry step.  The states in R_inf
-that the certificate leaves open are finished by render._finish, plain
-iteration after the main loop.  The classes must be those of plain
-iteration (classify_reference.py), whatever the slice, budget, threshold
-or worker count; the certificate is tested on hand-built states at the
-edges of its bounds, and the finisher on hand-built states in R_inf.
+step k + m when the margin bounds fix its entry step, and, in R_inf,
+overflowed at the step that the closed form of the exact R_inf step
+gives.  There is no second loop: a seed left open keeps iterating in the
+main one.  The classes must be those of plain iteration
+(classify_reference.py), whatever the slice, budget, threshold or worker
+count; the certificate is tested on hand-built states at the edges of its
+bounds, and the overflow step on hand-built states in R_inf.
 """
 
 import functools
@@ -65,7 +66,7 @@ def plain_map_evals(codes, steps, budget):
 
 class TestMatchesPlainIteration:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("budget", [1, 2, 5, 200, 1000, 2000])
+    @pytest.mark.parametrize("budget", [1, 2, 5, 200, 1000, 1016, 2000])
     @pytest.mark.parametrize("name", SLICES)
     def test_codes_and_steps(self, name, budget, workers):
         for threshold in THRESHOLDS:
@@ -117,23 +118,43 @@ class TestCounter:
 
     def test_far_tail_settled_at_budget_1000(self):
         # The far seeds of w = 0.2 that enter or stay out are settled by
-        # the certificate at budget 1,000 as at 200, not iterated to the
-        # end of the budget in the tail (204,598 against 11,854 when the
+        # the certificate at budget 1,000 as at 200, not iterated one step
+        # at a time to the end of the budget (204,598 against 11,854 when the
         # guard doubled every component and R_inf kept the e^{-W} slack).
         evals = {b: render_slice(SLICES["w=0.2"], b, workers=2).map_evals
                  for b in (200, 1000)}
         assert evals[1000] < 2 * evals[200]
 
-    @pytest.mark.parametrize("budget", [1017, 2000])
+    @pytest.mark.parametrize("name, budget", [
+        ("w=0.2", 1017), ("w=0.2", 2000), ("w-plane", 1000), ("w-plane", 1016),
+    ])
     def test_counters_independent_of_workers_and_chunks_past_the_horizon(
-            self, budget, monkeypatch):
-        # The two tests above at budgets past _HORIZON: the tail takes
-        # states from step 1 on at 1,017, from step 984 on at 2,000.
-        base = render_slice(SLICES["w=0.2"], budget, workers=1)
+            self, name, budget, monkeypatch):
+        # The two tests above at budgets at and past _HORIZON: the
+        # certificate is tried from step 1 on at 1,017, from step 984 on
+        # at 2,000, and settles the overflows of R_inf in closed form.
+        base = render_slice(SLICES[name], budget, workers=1)
         monkeypatch.setattr(render, "CHUNK_PIXELS", 64 * 5)
-        other = render_slice(SLICES["w=0.2"], budget, workers=2)
-        for name in ("map_evals", "fast_forwarded", "certified_entries"):
-            assert getattr(other, name) == getattr(base, name), name
+        other = render_slice(SLICES[name], budget, workers=2)
+        for counter in ("map_evals", "fast_forwarded", "certified_entries"):
+            assert getattr(other, counter) == getattr(base, counter), counter
+
+    def test_overflow_in_r_inf_settled_in_closed_form(self, monkeypatch):
+        # Not a timing: the far seeds of the w-plane that overflow within
+        # the budget are settled from the first steps on, not iterated one
+        # step call per step until they overflow (1,012 step calls when a
+        # separate loop iterated them).
+        calls = []
+        step_ = render.step
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return step_(*args)
+
+        monkeypatch.setattr(render, "step", spy)
+        r = render_slice(SLICES["w-plane"], 1016, workers=1)
+        assert r.stats["overflowed"] > 0
+        assert len(calls) < 20
 
 
 def certify(z, w, d, rem=REM, threshold=L_THRESHOLD):
@@ -246,8 +267,21 @@ class TestOverflowGuard:
         (2.0**1022, False),  # Z + 2^201 2^821 = 2^1023
     ], ids=["inside", "outside"])
     def test_edge_of_the_guard(self, re_z, settled):
-        # W + 2 rounds to W = 2^821, so with rem = 200 the guard reads
-        # Z + 2^1022 < 2^1023, Z = |Re z| = |Re d|.
+        # Outside R_inf (Re w = 20), W + 2 rounds to W = 2^821 = |Im w|, so
+        # with rem = 200 the guard reads Z + 2^1022 < 2^1023, Z = |Re z|.
+        w = complex(20, 2.0**821)
+        assert certified_as_plain(re_z, w) == (-1 if settled else 0)
+        assert plain_class(re_z, w) == PixelClass("not_entered")
+
+    @pytest.mark.parametrize("re_z, settled", [
+        (2.0**1023 - 2.0**985, True),  # the left side rounds to 2^1024 - 2^984
+        (2.0**1023 - 2.0**984, False),  # the left side rounds to 2^1024
+    ], ids=["inside", "outside"])
+    def test_edge_of_the_bound_in_r_inf(self, re_z, settled):
+        # In R_inf, w = 2^821 overflows after j = 203 steps, and fin stands
+        # in for the guard for the 200 steps left: with W + 1 rounding to
+        # 2^821 it reads (Z + 2^1023)(1 + 2^-40) < DBL_MAX.  Both states
+        # fail the guard, and both stay finite for the 200 steps.
         assert certified_as_plain(re_z, 2.0**821) == (-1 if settled else 0)
         assert plain_class(re_z, 2.0**821) == PixelClass("not_entered")
 
@@ -258,7 +292,7 @@ class TestExactRiseInRInf:
     D = -154.997  # enters after 156 steps: within 0.003 of an integer
 
     def test_entry_near_an_integer_distance(self):
-        # Re w = 393 as in the tail of w = 0.2; 156 e^{-W} > 0.003, so the
+        # Re w = 393 as in the far seeds of w = 0.2; 156 e^{-W} > 0.003, so the
         # bounds of R leave it open.
         assert in_r_inf(np.array([393 - self.D + 393]), np.array([393.0]))[0]
         assert certified_as_plain(393 - self.D, 393.0) == 156
@@ -368,38 +402,42 @@ class TestEntryCertificate:
 
 
 def finish(states, k, budget, threshold=L_THRESHOLD):
-    """render._finish on hand-built states (z, w) in R_inf, with margins
-    d = w - z, that join the tail at steps k: (codes, steps, evals)."""
-    z = np.array([complex(s[0]) for s in states])
-    w = np.array([complex(s[1]) for s in states])
-    assert in_r_inf(z + w, w).all()
-    codes = np.full(z.shape, render._CODE_NOT_ENTERED, dtype=np.uint8)
-    steps = np.full(z.shape, -1, dtype=np.int32)
-    evals = render._finish(np.arange(z.size), z, w, w - z, np.array(k), budget,
-                           threshold, codes, steps)
-    return codes, steps, evals
+    """render._classify on hand-built states (z, w) in R_inf, with margins
+    d = w - z, each from its step k0 of k with the budget - k0 steps left:
+    (codes, steps, evals), steps counted from step 0."""
+    codes, steps, evals = [], [], 0
+    for (z, w), k0 in zip(states, k):
+        z, w = np.array([complex(z)]), np.array([complex(w)])
+        assert in_r_inf(z + w, w)[0]
+        c, s, *_, e = render._classify(z, w, budget - k0, threshold)
+        codes.append(c[0])
+        steps.append(s[0] + k0 if s[0] >= 0 else -1)
+        evals += e
+    return np.array(codes), np.array(steps), evals
 
 
 def plain_from(states, k, budget, threshold=L_THRESHOLD):
     """Plain iteration of the same states from their steps k to the end of
     the budget: classify_reference over budget - k steps, with its steps
-    shifted by k, and its map evaluations."""
-    codes, steps, evals = [], [], 0
+    shifted by k."""
+    codes, steps = [], []
     for (z, w), k0 in zip(states, k):
         c, s = reference_classify(np.array([complex(z)]), np.array([complex(w)]),
                                   budget - k0, threshold)
-        evals += plain_map_evals(c, s, budget - k0)
         codes.append(c[0])
         steps.append(s[0] + k0 if s[0] >= 0 else -1)
-    return np.array(codes), np.array(steps), evals
+    return np.array(codes), np.array(steps)
 
 
-def finishes_as_plain(states, k, budget):
-    codes, steps, evals = finish(states, k, budget)
+def finishes_as_plain(states, k, budget, evals=0):
+    """The classes of finish on the states, where they are those of plain
+    iteration after the given map evaluations: none where the certificate
+    settles every state at its step k0."""
+    codes, steps, e = finish(states, k, budget)
     expected = plain_from(states, k, budget)
     assert np.array_equal(codes, expected[0])
     assert np.array_equal(steps, expected[1])
-    assert evals == expected[2]
+    assert e == evals
     return [render._pixel_class(int(c), int(s)) for c, s in zip(codes, steps)]
 
 
@@ -410,6 +448,9 @@ def margin_state(d):
 
 
 class TestFinish:
+    # States of R_inf settled by _classify from the steps k0 at which they
+    # would have left the main loop for a separate one, with budget - k0
+    # steps left, as plain iteration settles them.
     @pytest.mark.parametrize("state, after", [
         # Im w doubles exactly: 2^1023 after 8 steps, the 9th overflows
         ((1000, 400 + 2.0**1015 * 1j), 8),
@@ -436,46 +477,68 @@ class TestFinish:
 
     def test_budget_ends_inside_the_finisher(self):
         # Re d = -600 enters after 602 steps and Im w = 2^1000 overflows
-        # after 23: neither within the 20 steps left.
+        # after 23: neither within the 20 steps left, so both are settled
+        # as not_entered at once (40 map evaluations when iterated).
         states = [(1000, 400), (1000, 400 + 2.0**1000 * 1j)]
         assert finishes_as_plain(states, [REM - 20] * 2, REM) == [
             PixelClass("not_entered")] * 2
-        assert finish(states, [REM - 20] * 2, REM)[2] == 40
 
     def test_states_joining_at_different_steps(self):
+        # Re d = -9 reaches the threshold 1 exactly at the last step: on an
+        # integer distance the bounds leave it open, and it is iterated.
         states = [(1000, 400 + 2.0**1015 * 1j), margin_state(-30.5),
                   margin_state(1.0 - 10), (1000, 400), (2e300, 1e300)]
         k = [3, 50, REM - 10, 120, 0]
-        assert finishes_as_plain(states, k, REM) == [
+        assert finishes_as_plain(states, k, REM, evals=10) == [
             PixelClass("overflowed", 11), PixelClass("entered", 82),
             PixelClass("not_entered"), PixelClass("not_entered"),
             PixelClass("overflowed", 27)]
 
+    @pytest.mark.parametrize("state, after, evals", [
+        # Im w = 2^1014 overflows after j = 10 steps
+        ((1000, 400 + 2.0**1014 * 1j), 9, 0),
+        # W + 1 = 2^20 + 1/2 passes 2^20, so Re w leaves double range a
+        # step before 2^1004 W does; settled once W = 2^21
+        ((2.0**20 + 5000, 2.0**20 - 0.5), 1003, 1),
+        # Re z overflows before w does, so fin fails at every step
+        ((1.7e308, 400), 1011, 1012),
+        # Z = 2^1023 - 2^990 and Re w = 2^1023 after 23 steps stay finite
+        ((2.0**1023 - 2.0**990, 2.0**1000), 23, 0),
+    ], ids=["im-w", "w-plus-one", "z-first", "huge-z"])
+    def test_overflow_at_the_largest_budget(self, state, after, evals):
+        assert finishes_as_plain([state], [0], 1016, evals) == [
+            PixelClass("overflowed", after)]
+
     def test_classify_hands_off_at_different_steps(self, monkeypatch):
         # Components past the overflow guard: the certificate settles none
-        # of them.  Two lie in R_inf at step 0, two reach it at step 5.
-        joined = []
+        # of them before it lies in R_inf.  Two lie in R_inf at step 0, two
+        # reach it at step 5; three overflow, settled there in closed form,
+        # and the last enters L at step 12, from a margin on an integer
+        # distance to the threshold, certified a step before.
+        settled = []
 
-        def spy(idx, z, w, d, k, *rest):
-            joined.extend(k.tolist())
-            return finish_(idx, z, w, d, k, *rest)
+        def spy(*args):
+            outcome = certify_(*args)
+            if outcome is not None:
+                settled.extend([REM - args[3]] * int((outcome != 0).sum()))
+            return outcome
 
-        finish_ = render._finish
-        monkeypatch.setattr(render, "_finish", spy)
+        certify_ = render._certify
+        monkeypatch.setattr(render, "_certify", spy)
         z = np.array([1000, 1000, 2e300, 30], dtype=np.complex128)
         w = np.array([400 + 2.0**1015 * 1j, 20 + 2.0**1000 * 1j, 1e300,
                       20 + 2.0**990 * 1j])
         codes, steps, *_ = render._classify(z, w, REM, L_THRESHOLD)
-        assert sorted(joined) == [0, 0, 5, 5]
+        assert sorted(settled) == [0, 0, 5, 11]
         expected = reference_classify(z, w, REM, L_THRESHOLD)
         assert np.array_equal(codes, expected[0])
         assert np.array_equal(steps, expected[1])
 
 
-def test_main_loop_ends_before_the_tail(monkeypatch):
-    # Not a timing: the states in R_inf that _certify leaves open go to
-    # _finish, so the main loop, and with it _certify, stops early on
-    # w = 0.2 (103 calls when the tail stayed in the main loop).
+def test_main_loop_ends_early(monkeypatch):
+    # Not a timing: _certify settles the far seeds of w = 0.2 within the
+    # first steps, so the main loop, and with it _certify, stops early
+    # (103 calls when the seeds of R_inf were iterated to the budget).
     calls = []
     certify_ = render._certify
 
