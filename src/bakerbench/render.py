@@ -180,23 +180,28 @@ def _certify(
         m = np.maximum(np.floor((threshold - dr) / hi) + 1, 1)
         enter = ((dr + m * lo > threshold)
                  & ((m == 1) | (dr + (m - 1) * hi <= threshold)) & (m <= rem))
-        # Each class needs its n steps finite: rem to stay out, m to enter.
-        n = np.where(enter, m, rem).astype(np.int64)
+        # The overflow guard Z + 2^(n + 1)(W + 2) < 2^1023, for the steps n
+        # each class needs: rem to stay out, m to enter.  As m <= rem, only
+        # an entry that fails it for rem steps needs its own n.
         big_z = np.abs(z.real)
         for x in (z.imag, dr, d.imag):
             np.maximum(big_z, np.abs(x), out=big_z)
         big_w = np.maximum(w.real, np.abs(w.imag))  # Re w > 0 in R
-        safe = big_z + np.ldexp(big_w + 2, n + 1) < _OVERFLOW_CAP
+        safe = big_z + (big_w + 2) * math.ldexp(1.0, rem + 1) < _OVERFLOW_CAP
+        late = enter & ~safe
+        if late.any():
+            n = m[late].astype(np.int64)
+            safe[late] = big_z[late] + np.ldexp(big_w[late] + 2, n + 1) < _OVERFLOW_CAP
         settled = (out | enter) & safe
         outcome = np.where(enter, m, -1)
         if exact.any():
-            # In R_inf the first non-finite state is the one after j steps
-            # where fin holds.
+            # In R_inf the state after j steps is the first non-finite one
+            # where fin holds, which also stands in for the guard.
             j = 1025 - np.frexp(big_w)[1]
             fin = (big_z + np.ldexp(big_w + 1, j - 1)) * (1 + 2.0**-40) < _DBL_MAX
             fin &= exact
             over = fin & (j <= rem) & (dr + (j - 1) * hi <= threshold)
-            settled |= (out | enter) & fin & (n < j) | over
+            settled |= fin & (enter & (m < j) | out & (rem < j)) | over
             outcome = np.where(over, -1 - j, outcome)
     if not settled.any():
         return None

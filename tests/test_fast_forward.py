@@ -504,10 +504,31 @@ class TestFinish:
         ((1.7e308, 400), 1011, 1012),
         # Z = 2^1023 - 2^990 and Re w = 2^1023 after 23 steps stay finite
         ((2.0**1023 - 2.0**990, 2.0**1000), 23, 0),
-    ], ids=["im-w", "w-plus-one", "z-first", "huge-z"])
+        # j = 1: Re z = 1/2 keeps the state out of L though Re d = 745.5,
+        # and the entry one step on, which the bounds give, would need a
+        # finite state there
+        ((0.5 + 2.0**1022 * 1j, 746 + 2.0**1023 * 1j), 0, 1),
+    ], ids=["im-w", "w-plus-one", "z-first", "huge-z", "entry-past-overflow"])
     def test_overflow_at_the_largest_budget(self, state, after, evals):
         assert finishes_as_plain([state], [0], 1016, evals) == [
             PixelClass("overflowed", after)]
+
+    @pytest.mark.parametrize("left, expected", [
+        (9, PixelClass("overflowed", REM - 1)),  # at the last step
+        (8, PixelClass("not_entered")),  # the state at the budget is finite
+    ], ids=["last-step", "past-the-budget"])
+    def test_overflow_at_the_end_of_the_budget(self, left, expected):
+        # Im w = 2^1015: the state after 9 steps is the first non-finite one
+        state = (1000, 400 + 2.0**1015 * 1j)
+        assert finishes_as_plain([state], [REM - left], REM) == [expected]
+
+    def test_entry_at_the_last_finite_step_and_a_miss_by_a_half(self):
+        # Im w = 2^1015 makes the state after 8 steps the last finite one:
+        # Re d = -6.5 enters L there, and Re d = -7.5 misses it by 1/2 and
+        # overflows at the step from it.
+        states = [(406.5, 400 + 2.0**1015 * 1j), (407.5, 400 + 2.0**1015 * 1j)]
+        assert finishes_as_plain(states, [0, 0], REM) == [
+            PixelClass("entered", 8), PixelClass("overflowed", 8)]
 
     def test_classify_hands_off_at_different_steps(self, monkeypatch):
         # Components past the overflow guard: the certificate settles none
