@@ -148,7 +148,7 @@ class TestCounter:
         step_ = render.step
 
         def spy(*args):
-            calls.append(len(args[0]))
+            calls.append(args)
             return step_(*args)
 
         monkeypatch.setattr(render, "step", spy)
@@ -448,9 +448,9 @@ def margin_state(d):
 
 
 class TestFinish:
-    # States of R_inf settled by _classify from the steps k0 at which they
-    # would have left the main loop for a separate one, with budget - k0
-    # steps left, as plain iteration settles them.
+    # Hand-built states of R_inf, each classified by _classify from its
+    # step k0 with budget - k0 steps left, as plain iteration classifies
+    # them.
     @pytest.mark.parametrize("state, after", [
         # Im w doubles exactly: 2^1023 after 8 steps, the 9th overflows
         ((1000, 400 + 2.0**1015 * 1j), 8),
@@ -478,7 +478,7 @@ class TestFinish:
     def test_budget_ends_inside_the_finisher(self):
         # Re d = -600 enters after 602 steps and Im w = 2^1000 overflows
         # after 23: neither within the 20 steps left, so both are settled
-        # as not_entered at once (40 map evaluations when iterated).
+        # as not_entered at once (plain iteration makes 40 evaluations).
         states = [(1000, 400), (1000, 400 + 2.0**1000 * 1j)]
         assert finishes_as_plain(states, [REM - 20] * 2, REM) == [
             PixelClass("not_entered")] * 2
