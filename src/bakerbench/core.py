@@ -89,17 +89,22 @@ def modulus(c: np.ndarray) -> np.ndarray:
 
 
 def _exp_unless(x: np.ndarray, re: np.ndarray, cut: float) -> np.ndarray:
-    """e^x elementwise, with +0 where re > cut; exp runs only on the other
-    elements.  The guard is a max, not a mask, so that where no element is
-    past the cut, as on most steps of the classifier, no mask is made."""
+    """x overwritten with e^x elementwise, with +0 where re > cut; exp runs
+    only on the other elements.  The guard is a max, not a mask, so that
+    where no element is past the cut, as on most steps of the classifier,
+    no mask is made."""
     if re.max(initial=-np.inf) > cut:
-        return np.exp(x, out=np.zeros_like(x), where=~(re > cut))
-    return np.exp(x)
+        past = re > cut
+        np.exp(x, out=x, where=~past)
+        x[past] = 0
+        return x
+    return np.exp(x, out=x)
 
 
 def exponentials(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e^{-s}, e^{-2w}) elementwise, as np.exp computes them, except +0
-    where they underflow: Re s > S_CUT, Re w > W_CUT."""
+    where they underflow: Re s > S_CUT, Re w > W_CUT.  Each is a fresh
+    array, computed in place from the negated exponent."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _exp_unless(-s, s.real, S_CUT), _exp_unless(-2 * w, w.real, W_CUT)
 
@@ -108,7 +113,10 @@ def step(
     z: np.ndarray, w: np.ndarray, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """F applied to arrays of states (z, w), with the image of the margin
-    d = w - z.  Returns (z1, w1, d1, ok).
+    d = w - z.  Returns (z1, w1, d1, ok).  w may have shape (1,), shared by
+    every state, as on a slice of constant w: the w-orbit does not read z.
+    w1 then has shape (1,) too, and each image has the bits it has where w
+    is repeated per state.
 
     The margin is updated as d' = d + 1 + e^{-2w} - e^{-(z+w)}, reusing the
     two exponentials of F, instead of being recovered as w' - z': along L
@@ -120,6 +128,9 @@ def step(
     turns a -0 part into +0 as adding the zero exponential does.
     Otherwise ``exponentials`` skips only the ones that underflow.  Either
     way the bits equal those of evaluating both exponentials everywhere.
+    The sums are formed in place, in the order of the formulas above up to
+    commuting two terms, which keeps the bits: z1 is written into the
+    array of e^{-(z+w)} once the margin has used it.
 
     ok is False where the step overflowed: an exponent has real part above
     EXP_MAX, or any result is non-finite.  The images there are meaningless.
@@ -127,16 +138,24 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         s = z + w
         if in_r_inf(s.real.min(initial=np.inf), w.real.min(initial=np.inf)):
-            z1 = s + 0.0
-            w1 = 2 * w + 1
+            s += 0.0
+            z1, w1, d1 = s, 2 * w + 1, d + 1
+            ok = np.isfinite(z1)
+        else:
+            ok = s.real >= -EXP_MAX
+            ok &= w.real >= -EXP_MAX / 2
+            z1, e_w = exponentials(s, w)
             d1 = d + 1
-            return z1, w1, d1, np.isfinite(z1) & np.isfinite(w1) & np.isfinite(d1)
-        e_s, e_w = exponentials(s, w)
-        z1 = e_s + s
-        w1 = e_w + 2 * w + 1
-        d1 = d + 1 + e_w - e_s
-        ok = ((-s.real <= EXP_MAX) & (-2 * w.real <= EXP_MAX)
-              & np.isfinite(z1) & np.isfinite(w1) & np.isfinite(d1))
+            d1 += e_w
+            d1 -= z1
+            z1 += s
+            del s  # so that no more than four new arrays of states are live
+            w1 = 2 * w
+            w1 += e_w
+            w1 += 1
+            ok &= np.isfinite(z1)
+        ok &= np.isfinite(w1)
+        ok &= np.isfinite(d1)
     return z1, w1, d1, ok
 
 

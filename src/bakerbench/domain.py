@@ -43,7 +43,9 @@ def in_wedge(z: np.ndarray, w: np.ndarray, d: np.ndarray, alpha) -> np.ndarray:
 def in_L(p: PlanePoint, threshold: float = L_THRESHOLD) -> bool:
     """Membership in L (threshold 1), or in the looser alpha > 0 variant."""
     z, w = p.arrays()
-    return bool(in_wedge(z, w, w - z, threshold)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = w - z
+    return bool(in_wedge(z, w, d, threshold)[0])
 
 
 def invariance(

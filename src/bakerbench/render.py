@@ -11,9 +11,13 @@ class that plain iteration gives it at the end of the budget, so codes
 and steps are those of plain iteration.  In R_inf, where a step is exact
 (w doubles, z gains w and the margin gains 1), the certificate gives in
 closed form the step at which a seed overflows, so one loop classifies
-every seed.  The slice is cut into chunks of interleaved whole rows,
-classified independently by a pool of workers into disjoint output rows,
-so grids and emitted bytes are identical for any worker count.
+every seed.  F is a skew product: the w-orbit does not read z.  Where
+every seed of a chunk has the same w, bit for bit, as on every slice that
+the CLI draws (``--w-fixed``), the classifier carries one w for them all
+and each step evaluates e^{-2w} once.  The slice is cut into chunks of
+interleaved whole rows, classified independently by a pool of workers
+into disjoint output rows, so grids and emitted bytes are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -38,9 +42,18 @@ _CODE_TO_TAG = {
     _CODE_OVERFLOWED: "overflowed",
 }
 
-# Pixels per chunk of work, rounded down to whole rows.  It bounds the
-# memory of the classifier's temporaries, whatever the image size.
-CHUNK_PIXELS = 1 << 16
+# Pixels per chunk of work, rounded down to whole rows; the CSV dump
+# writes blocks of the same size.  It bounds a worker's memory, whatever
+# the image size.  While a step runs on a whole chunk, a worker holds about
+# 96 bytes per pixel with a shared w: z and d, the step's z + w,
+# e^{-(z+w)} and image of d, 16 bytes each, the index, step and code of
+# each pixel, 13 bytes, and masks.  One w per pixel adds w, e^{-2w} and
+# the image of w and frees z + w first: about 128 bytes per pixel.  That
+# is 3.0 and 4.0 MiB at 2^15 pixels.  Smaller chunks cost more in per-call
+# overhead, which holds the GIL: with 2 workers a 512^2 render at budget
+# 200 took 1.05-1.08x as long at 2^15 as at 2^16, 1.2x at 2^14 and
+# 1.7-1.9x at 2^13.
+CHUNK_PIXELS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -136,12 +149,6 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _OVERFLOW_CAP = math.ldexp(1.0, 1023)
 _DBL_MAX = np.finfo(np.float64).max
 
-# Every state of R has W + 2 > 12 > 2^3, W its largest w part, so none
-# passes the overflow guard for more than 1,018 steps, and every state of
-# R_inf overflows within 1,016; the certificate is tried only with at most
-# _HORIZON steps left.
-_HORIZON = 1016
-
 
 def _certify(
     z: np.ndarray, w: np.ndarray, d: np.ndarray, rem: int, threshold: float
@@ -152,14 +159,7 @@ def _certify(
     enters L_threshold after exactly m steps, -1 where it stays outside
     L_threshold and finite for all rem steps, -2 - n where it overflows
     after n < rem steps, and 0 where none is certified.  None where no
-    state is settled.
-
-    With more than _HORIZON steps left no state is certified to stay out,
-    and the entries and overflows left to certify are not looked for:
-    plain iteration finds them at a lower cost there, where the certificate
-    would be tried at every step."""
-    if rem > _HORIZON:
-        return None
+    state is settled."""
     far = w.real > FAR_FIELD
     if not far.any():  # as on most steps: spare the bound's temporaries
         return None
@@ -187,7 +187,7 @@ def _certify(
         for x in (z.imag, dr, d.imag):
             np.maximum(big_z, np.abs(x), out=big_z)
         big_w = np.maximum(w.real, np.abs(w.imag))  # Re w > 0 in R
-        safe = big_z + (big_w + 2) * math.ldexp(1.0, rem + 1) < _OVERFLOW_CAP
+        safe = big_z + (big_w + 2) * np.ldexp(1.0, rem + 1) < _OVERFLOW_CAP
         late = enter & ~safe
         if late.any():
             n = m[late].astype(np.int64)
@@ -219,6 +219,13 @@ def _classify(
     whose entry step the certificate gave, and evals the map evaluations,
     the active set summed over the steps.  Only undecided seeds are
     iterated: idx holds their positions and (z, w, d) their states.
+
+    Where the w of every seed has the bits of the first one's
+    (_same_bits), w is carried with shape (1,) and never compacted:
+    core.step gives every seed the image of that one w, as the w-orbit
+    does not read z.  Seeds whose w differ only in the sign of a zero
+    part do not share it.  The seed arrays are not kept past the first
+    step, so a caller that holds no other reference lets them go.
 
     Once the membership test of state k has removed the seeds in L, _certify
     settles a seed with rem = budget - k steps left when the far-field
@@ -264,8 +271,10 @@ def _classify(
       2^1023, for the n steps it needs: rem to stay out, m to enter; the
       factor 2, twice over, is slack for rounding.  In R_inf, fin below
       with n < j stands in for the guard.  As W + 2 > 12, no state of R
-      passes the guard for more than 1,018 steps; with more than _HORIZON
-      = 1,016 left only plain iteration runs.
+      passes the guard for more than 1,018 steps: with more steps left,
+      where 2^(rem + 1), formed by np.ldexp, may be +inf, no state is
+      certified to stay out, and only entries within the guard's steps
+      and overflows in R_inf are certified.
     - overflowed at step k + j - 1, in R_inf, where a step is exactly
       (fl(z + w) + 0, fl(2w + 1), fl(d + 1)): with W = f 2^e, f in [1/2,
       1) as np.frexp gives it, and j = 1025 - e, Im w doubles exactly and
@@ -289,17 +298,23 @@ def _classify(
     idx = np.arange(z.size)
     with np.errstate(over="ignore", invalid="ignore"):
         d = w - z
+    shared = _same_bits(w)
+    if shared:
+        w = w[:1].copy()
+
+    def compact(keep: np.ndarray) -> tuple[np.ndarray, ...]:
+        return idx[keep], z[keep], w if shared else w[keep], d[keep]
+
     fast = entries = evals = 0
     for k in range(budget + 1):
         inside = in_wedge(z, w, d, threshold)
         if inside.any():
             codes[idx[inside]] = _CODE_ENTERED
             steps[idx[inside]] = k
-            out = ~inside
-            idx, z, w, d = idx[out], z[out], w[out], d[out]
+            idx, z, w, d = compact(~inside)
         if k == budget or not idx.size:
             break
-        m = _certify(z, w, d, budget - k, threshold)
+        m = _certify(z, np.broadcast_to(w, z.shape), d, budget - k, threshold)
         if m is not None:
             enter, over = m > 0, m < -1
             codes[idx[enter]] = _CODE_ENTERED
@@ -308,15 +323,21 @@ def _classify(
             steps[idx[over]] = k - 2 - m[over]
             entries += int(enter.sum())
             fast += int((m == -1).sum())
-            keep = m == 0
-            idx, z, w, d = idx[keep], z[keep], w[keep], d[keep]
+            idx, z, w, d = compact(m == 0)
         evals += idx.size
         z, w, d, ok = step(z, w, d)
         if not ok.all():
             codes[idx[~ok]] = _CODE_OVERFLOWED
             steps[idx[~ok]] = k
-            idx, z, w, d = idx[ok], z[ok], w[ok], d[ok]
+            idx, z, w, d = compact(ok)
     return codes, steps, fast, entries, evals
+
+
+def _same_bits(w: np.ndarray) -> bool:
+    """Whether every element of the complex array w has the bits of the
+    first: +0 and -0 differ."""
+    bits = w.view(np.uint64).reshape(-1, 2)
+    return bool((bits == bits[:1]).all())
 
 
 def classify_point(
@@ -370,8 +391,10 @@ def render_slice(
     steps = np.empty((spec.height, spec.width), dtype=np.int32)
 
     def run(rows: np.ndarray) -> list[int]:
-        z, w = _pixel_grid(spec, rows)
-        c, s, *counts = _classify(z.ravel(), w.ravel(), budget, threshold)
+        # The seeds are handed over with no reference kept here, so that
+        # the pixel grid is freed once _classify has moved past it.
+        seeds = [x.ravel() for x in _pixel_grid(spec, rows)]
+        c, s, *counts = _classify(seeds.pop(0), seeds.pop(), budget, threshold)
         codes[rows] = c.reshape(rows.size, spec.width)
         steps[rows] = s.reshape(rows.size, spec.width)
         return counts

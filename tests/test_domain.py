@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,13 @@ class TestMembership:
         assert in_L(PlanePoint(2 + 0j, 4 + 0j))
         assert not in_L(PlanePoint(2 + 0j, 2.5 + 0j))
         assert not in_L(PlanePoint(0 + 0j, 5 + 0j))
+
+    def test_in_L_without_warnings_where_the_margin_overflows(self):
+        # w - z = 3.4e308 leaves double range: the margin is +inf, not a
+        # RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not in_L(PlanePoint(-1.7e308 + 0j, 1.7e308 + 0j))
 
     def test_in_L_takes_any_threshold(self):
         # in_L compares the gap with any threshold, not only alpha > 0.

@@ -130,9 +130,10 @@ class TestCounter:
     ])
     def test_counters_independent_of_workers_and_chunks_past_the_horizon(
             self, name, budget, monkeypatch):
-        # The two tests above at budgets at and past _HORIZON: the
-        # certificate is tried from step 1 on at 1,017, from step 984 on
-        # at 2,000, and settles the overflows of R_inf in closed form.
+        # The two tests above at budgets past the 1,016 steps for which a
+        # state of R_inf can stay finite, where the certificate settles
+        # entries and the overflows of R_inf in closed form, not seeds that
+        # stay out.
         base = render_slice(SLICES[name], budget, workers=1)
         monkeypatch.setattr(render, "CHUNK_PIXELS", 64 * 5)
         other = render_slice(SLICES[name], budget, workers=2)
@@ -373,14 +374,13 @@ class TestEntryCertificate:
         outcome = render._certify(*p.arrays(), np.array([w - z + 0j]), 1000, threshold)
         assert outcome is not None and outcome[0] == 500
 
-    def test_no_certificate_past_the_horizon(self):
-        # A seed one step from entry whose components pass the overflow
-        # guard for the _HORIZON = 1,016 steps left; with one step more
-        # left the certificate is not tried, though the entry needs a
-        # single step.
-        z, w = 1.0, 11.0
-        assert certify(z, w, w - z, rem=1016) == 1
-        assert certify(z, w, w - z, rem=1017) == 0
+    @pytest.mark.parametrize("rem", [1016, 1017, 5000])
+    def test_entry_certified_past_the_guard_of_the_steps_left(self, rem):
+        # A seed one step from entry, whose components pass the overflow
+        # guard for 1,016 steps but not for 1,017, where 2^(rem + 1) is
+        # formed past double range: the entry needs a single step, and is
+        # certified as plain iteration classifies it.
+        assert certified_as_plain(1.0, 11.0, rem=rem) == 1
 
     def test_entry_at_the_last_step(self):
         d = L_THRESHOLD - 9.5  # enters after 10 steps

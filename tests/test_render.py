@@ -1,12 +1,14 @@
 import hashlib
+import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from csv_reference import reference_grid_csv
 
 from bakerbench import render
-from bakerbench.core import PlanePoint, apply_f
+from bakerbench.core import PlanePoint, apply_f, step
 from bakerbench.domain import in_L
 from bakerbench.render import (
     PaletteSpec,
@@ -232,6 +234,94 @@ class TestRenderSlice:
         )
         r = render_slice(spec, 20)
         assert sum(r.stats.values()) == 16 * 16
+
+
+def w_fixed_slice(w, u_range=(-5.0, 5.0), v_range=(-5.0, 5.0), side=64):
+    """The z-plane slice at w, as the CLI's render --w-fixed draws it."""
+    return SliceSpec(base=PlanePoint(0j, w), dir_u=PlanePoint(1 + 0j, 0j),
+                     dir_v=PlanePoint(1j, 0j), u_range=u_range, v_range=v_range,
+                     width=side, height=side)
+
+
+W_PLANE = SliceSpec(base=PlanePoint(0j, 0j), dir_u=PlanePoint(0j, 1 + 0j),
+                    dir_v=PlanePoint(0j, 1j), u_range=(-5.0, 5.0),
+                    v_range=(-5.0, 5.0), width=512, height=512)
+
+
+class TestSharedW:
+    # On a slice of constant w, _classify carries one w for every seed; it
+    # must classify and count as it does with one w per seed.  A part of
+    # the base w that is -0 gives centres whose part is +0 or -0, by the
+    # signs of u and v, unless every centre has the same signs.
+    @pytest.mark.parametrize("spec, shared", [
+        (w_fixed_slice(0.2 + 0j), True),
+        (w_fixed_slice(4 + 0j), True),
+        (w_fixed_slice(1 + 3j), True),
+        (w_fixed_slice(complex(-0.0, -0.0)), False),  # Re w is +0 or -0
+        (w_fixed_slice(complex(-0.0, 0.2)), False),
+        (w_fixed_slice(complex(0.2, -0.0)), True),  # Im w is +0 everywhere
+        # every u and v is negative, so Re w is -0 everywhere
+        (w_fixed_slice(complex(-0.0, 0.3), (-5.0, -1.0), (-3.0, -0.5)), True),
+    ], ids=["w=0.2", "w=4", "w=1+3i", "-0-0j", "-0+0.2j", "0.2-0j", "all-minus-0"])
+    @pytest.mark.parametrize("budget", [200, 2000])
+    def test_shared_w_classifies_as_per_seed_w(self, spec, shared, budget, monkeypatch):
+        z, w = (x.ravel() for x in render._pixel_grid(spec, np.arange(spec.height)))
+        assert render._same_bits(w) == shared
+        w_sizes = []
+
+        def spy(z, w, d):
+            w_sizes.append(w.size)
+            return step(z, w, d)
+
+        monkeypatch.setattr(render, "step", spy)
+        with_shared = render._classify(z, w, budget, 1.0)
+        assert (w_sizes[0] == 1) == shared
+        monkeypatch.setattr(render, "_same_bits", lambda w: False)
+        per_seed = render._classify(z, w, budget, 1.0)
+        for a, b in zip(with_shared, per_seed, strict=True):
+            assert np.array_equal(a, b)
+
+    def test_sharing_compares_bits(self):
+        w = np.full(5, complex(0.2, 0.0))
+        assert render._same_bits(w)
+        w[3] = complex(0.2, -0.0)
+        assert w[3] == w[0] and not render._same_bits(w)
+
+    def test_step_gives_a_shared_w_the_bits_of_a_per_state_w(self):
+        # w = -400 overflows e^{-2w}; with Re z + 400 and w = 380 every
+        # state lies in R_inf.
+        near = np.linspace(-5, 5, 7) + 1j * np.linspace(3, -3, 7)
+        for z, w in itertools.product((near, near + 400), (0.2, 1 + 3j, -300, -400, 380)):
+            w_each = np.full(z.shape, complex(w))
+            d = w_each - z
+            one = step(z, np.array([complex(w)]), d)
+            each = step(z, w_each, d)
+            assert one[1].shape == (1,)
+            for a, b in zip(one, each, strict=True):
+                assert np.broadcast_to(a, b.shape).tobytes() == b.tobytes()
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory that tracemalloc sees allocated during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec, limit_mib", [
+    # measured 4.25 and 5.28 MiB (numpy 2.4); each limit adds ~15%.  It
+    # counts the 1.25 MiB of the output grids and one chunk of work:
+    # 7.5 and 6.5 MiB with one w per seed, the step's temporaries kept
+    # and the pixel grid held during classification.
+    (w_fixed_slice(0.2 + 0j, side=512), 4.9),
+    (W_PLANE, 6.1),
+], ids=["w=0.2", "w-plane"])
+def test_peak_memory_of_a_render(spec, limit_mib):
+    peak = traced_peak(lambda: render_slice(spec, 200, workers=1))
+    assert peak < limit_mib * 2**20, peak / 2**20
 
 
 class TestPpm:
