@@ -130,10 +130,10 @@ class TestCounter:
     ])
     def test_counters_independent_of_workers_and_chunks_past_the_horizon(
             self, name, budget, monkeypatch):
-        # The two tests above at budgets past the 1,016 steps for which a
-        # state of R_inf can stay finite, where the certificate settles
-        # entries and the overflows of R_inf in closed form, not seeds that
-        # stay out.
+        # The two tests above at budgets near and past 1,016, the most
+        # steps for which a state of R_inf stays finite: past it the
+        # certificate settles entries and the overflows of R_inf in closed
+        # form, and no seed that stays out.
         base = render_slice(SLICES[name], budget, workers=1)
         monkeypatch.setattr(render, "CHUNK_PIXELS", 64 * 5)
         other = render_slice(SLICES[name], budget, workers=2)
@@ -375,11 +375,11 @@ class TestEntryCertificate:
         assert outcome is not None and outcome[0] == 500
 
     @pytest.mark.parametrize("rem", [1016, 1017, 5000])
-    def test_entry_certified_past_the_guard_of_the_steps_left(self, rem):
-        # A seed one step from entry, whose components pass the overflow
-        # guard for 1,016 steps but not for 1,017, where 2^(rem + 1) is
-        # formed past double range: the entry needs a single step, and is
-        # certified as plain iteration classifies it.
+    def test_entry_certified_past_1016_steps_left(self, rem):
+        # A seed one step from entry: its components pass the overflow
+        # guard for 1,016 steps left but not for 1,017 or 5,000 (where
+        # 2^(rem + 1) is +inf).  The entry needs a single step, for which
+        # the guard holds, so it is certified as plain iteration gives it.
         assert certified_as_plain(1.0, 11.0, rem=rem) == 1
 
     def test_entry_at_the_last_step(self):

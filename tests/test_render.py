@@ -243,11 +243,6 @@ def w_fixed_slice(w, u_range=(-5.0, 5.0), v_range=(-5.0, 5.0), side=64):
                      width=side, height=side)
 
 
-W_PLANE = SliceSpec(base=PlanePoint(0j, 0j), dir_u=PlanePoint(0j, 1 + 0j),
-                    dir_v=PlanePoint(0j, 1j), u_range=(-5.0, 5.0),
-                    v_range=(-5.0, 5.0), width=512, height=512)
-
-
 class TestSharedW:
     # On a slice of constant w, _classify carries one w for every seed; it
     # must classify and count as it does with one w per seed.  A part of
@@ -301,26 +296,23 @@ class TestSharedW:
                 assert np.broadcast_to(a, b.shape).tobytes() == b.tobytes()
 
 
-def traced_peak(fn) -> int:
-    """The peak of the memory that tracemalloc sees allocated during fn()."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("spec, limit_mib", [
-    # measured 4.25 and 5.28 MiB (numpy 2.4); each limit adds ~15%.  It
-    # counts the 1.25 MiB of the output grids and one chunk of work:
-    # 7.5 and 6.5 MiB with one w per seed, the step's temporaries kept
-    # and the pixel grid held during classification.
+    # Measured 4.25 and 5.28 MiB (numpy 2.4); each limit adds ~15%.  The
+    # peak counts the 1.25 MiB of the output grids and one chunk of work.
+    # A kernel that carried one w per seed, kept the step's temporaries
+    # and held the pixel grid read 7.5 and 6.5 MiB at the same chunk size.
     (w_fixed_slice(0.2 + 0j, side=512), 4.9),
-    (W_PLANE, 6.1),
+    (SliceSpec(base=PlanePoint(0j, 0j), dir_u=PlanePoint(0j, 1 + 0j),
+               dir_v=PlanePoint(0j, 1j), u_range=(-5.0, 5.0),
+               v_range=(-5.0, 5.0), width=512, height=512), 6.1),
 ], ids=["w=0.2", "w-plane"])
 def test_peak_memory_of_a_render(spec, limit_mib):
-    peak = traced_peak(lambda: render_slice(spec, 200, workers=1))
+    tracemalloc.start()
+    try:
+        render_slice(spec, 200, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < limit_mib * 2**20, peak / 2**20
 
 
