@@ -392,13 +392,21 @@ _PRE.add_argument("command", nargs="?")
 _PRE.add_argument("--config", type=Path)
 
 
+def _may_name_config(token: str) -> bool:
+    """Whether argparse could read token as --config: its part before any
+    '=' is --config or an abbreviation of it, at least '--c'."""
+    option = token.partition("=")[0]
+    return len(option) >= 3 and "--config".startswith(option)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        first, _ = _PRE.parse_known_args(argv)
-        if first.config is not None and first.command in _FLAGS:
-            at = argv.index(first.command) + 1
-            argv[at:at] = _config_argv(_FLAGS[first.command], first.config)
+        if any(map(_may_name_config, argv)):
+            first, _ = _PRE.parse_known_args(argv)
+            if first.config is not None and first.command in _FLAGS:
+                at = argv.index(first.command) + 1
+                argv[at:at] = _config_argv(_FLAGS[first.command], first.config)
         args = _PARSER.parse_args(argv)
         _check_output(args.out)
         _check_output(getattr(args, "csv_out", None))

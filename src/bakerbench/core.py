@@ -5,7 +5,8 @@ The map under study is
     F(z, w) = (e^{-(z+w)} + z + w,  e^{-2w} + 2w + 1)
 
 acting on C^2.  All arithmetic is double precision.  ``step``, on arrays
-of states, is the only evaluation of F, and every orbit runs on it:
+of states, evaluates F, and every orbit runs on it up to R_inf (below),
+where both ``step`` and ``orbits`` evaluate F by ``_far_image`` alone:
 ``orbits`` iterates seeds in chunks, ``orbit`` concatenates one seed's
 states into arrays (z, w, d), and ``apply_f`` is one ``step``.  Any
 evaluation that would leave the representable range stops the orbit
@@ -13,12 +14,21 @@ instead of letting infinities or NaNs leak into stored state.
 
 In R_inf = {Re(z + w) > S_CUT, Re w > W_CUT} both exponentials of F
 underflow to zero, so there F is exactly (z + w, 2w + 1) and the margin
-rises by exactly fl(d + 1) per step; R_inf is forward invariant.  ``step``
-skips the exponentials that underflow: it calls exp on every state when
-none is far, on no state when all are in R_inf, and on the states below
-the cuts otherwise.  A skipped exponential is +0 where exp gives +-0, and
-the sign of a zero can show only in a result part that is zero; there
-round-to-nearest gives +0 either way, so the images keep their bits.
+rises by exactly fl(d + 1) per step; ``_far_image`` is that image, the
+one evaluation of F in R_inf.  ``step`` skips the exponentials that
+underflow: it calls exp on every state when none is far, on no state when
+all are in R_inf, and on the states below the cuts otherwise.  A skipped
+exponential is +0 where exp gives +-0, and the sign of a zero can show
+only in a result part that is zero; there round-to-nearest gives +0
+either way, so the images keep their bits.
+
+R_inf is forward invariant as computed, not only in real arithmetic:
+with Re w > W_CUT > 0, rounding is monotone, so Re z' = fl(Re z + Re w)
+>= Re z, Re w' = fl(2 Re w + 1) >= Re w and Re(z' + w') =
+fl(Re z' + Re w') >= Re z' = fl(Re(z + w)) > S_CUT, for every image that
+is finite.  Along such orbits Re z, Re w and Re d = fl(Re d + 1) never
+decrease.  ``orbits`` therefore iterates a chunk that lies wholly in R_inf
+on ``_far_image`` alone, without testing the cuts again (``_far_orbit``).
 """
 
 from __future__ import annotations
@@ -44,6 +54,17 @@ def in_r_inf(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Where the states with s = z + w lie in R_inf: Re s > S_CUT, Re w > W_CUT;
     on the least Re s and Re w of a batch, whether all of its states do."""
     return (s.real > S_CUT) & (w.real > W_CUT)
+
+
+def _wholly_in_r_inf(z: np.ndarray, w: np.ndarray) -> bool:
+    """Whether every state (z, w) of a non-empty batch of finite states
+    lies in R_inf.  Re(z + w), which may overflow, is formed only once
+    every Re w is past its cut."""
+    w_min = w.real.min()
+    if not w_min > W_CUT:
+        return False
+    with np.errstate(over="ignore"):
+        return in_r_inf((z.real + w.real).min(), w_min)
 
 
 # Seeds that ``orbits`` iterates together.  It bounds the memory of the
@@ -104,9 +125,21 @@ def _exp_unless(x: np.ndarray, re: np.ndarray, cut: float) -> np.ndarray:
 def exponentials(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e^{-s}, e^{-2w}) elementwise, as np.exp computes them, except +0
     where they underflow: Re s > S_CUT, Re w > W_CUT.  Each is a fresh
-    array, computed in place from the negated exponent."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _exp_unless(-s, s.real, S_CUT), _exp_unless(-2 * w, w.real, W_CUT)
+    array, computed in place from the negated exponent.  An exponential
+    may overflow; the caller holds the np.errstate that silences it."""
+    return _exp_unless(-s, s.real, S_CUT), _exp_unless(-2 * w, w.real, W_CUT)
+
+
+def _far_image(s: np.ndarray, w: np.ndarray, d: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F and the margin on states in R_inf, given s = z + w:
+    (s + 0.0, 2w + 1, d + 1), with s overwritten by the first.  The + 0.0
+    turns a -0 part into +0, as adding the zero exponential does.  The
+    images may overflow; the caller holds the np.errstate."""
+    s += 0.0
+    w1 = w + w  # 2w; a zero imaginary part may differ in sign from that
+    w1 += 1.0   # of 2 * w, and adding 1 + 0j makes it +0 in both
+    return s, w1, d + 1.0
 
 
 def step(
@@ -124,10 +157,10 @@ def step(
     loses about one significant bit of d per step.
 
     When every state is in R_inf, both exponentials underflow and the step
-    is exact: z1 = (z + w) + 0.0, w1 = 2w + 1, d1 = d + 1, where the + 0.0
-    turns a -0 part into +0 as adding the zero exponential does.
-    Otherwise ``exponentials`` skips only the ones that underflow.  Either
-    way the bits equal those of evaluating both exponentials everywhere.
+    is exact: ``_far_image`` gives z1 = (z + w) + 0.0, w1 = 2w + 1,
+    d1 = d + 1.  Otherwise ``exponentials`` skips only the ones that
+    underflow.  Either way the bits equal those of evaluating both
+    exponentials everywhere.
     The sums are formed in place, in the order of the formulas above up to
     commuting two terms, which keeps the bits: z1 is written into the
     array of e^{-(z+w)} once the margin has used it.
@@ -138,8 +171,7 @@ def step(
     with np.errstate(over="ignore", invalid="ignore"):
         s = z + w
         if in_r_inf(s.real.min(initial=np.inf), w.real.min(initial=np.inf)):
-            s += 0.0
-            z1, w1, d1 = s, 2 * w + 1, d + 1
+            z1, w1, d1 = _far_image(s, w, d)
             ok = np.isfinite(z1)
         else:
             ok = s.real >= -EXP_MAX
@@ -169,6 +201,9 @@ def orbits(
     states after k steps of the seeds idx whose orbits are still finite,
     with their carried margins.  A seed is dropped at the step that
     overflows; a chunk ends early when none of its seeds is left.
+
+    Once every state of a chunk is in R_inf, it stays there (see the
+    module docstring), and ``_far_orbit`` iterates the rest of it.
     """
     for lo in range(0, z.size, ORBIT_CHUNK):
         idx = np.arange(lo, min(lo + ORBIT_CHUNK, z.size))
@@ -177,12 +212,47 @@ def orbits(
             dk = wk - zk
         yield 0, idx, zk, wk, dk
         for k in range(1, n + 1):
+            if _wholly_in_r_inf(zk, wk):
+                yield from _far_orbit(k, n, idx, zk, wk, dk)
+                break
             zk, wk, dk, ok = step(zk, wk, dk)
             if not ok.all():
                 idx, zk, wk, dk = idx[ok], zk[ok], wk[ok], dk[ok]
                 if not idx.size:
                     break
             yield k, idx, zk, wk, dk
+
+
+def _far_orbit(
+    start: int, n: int, idx: np.ndarray, z: np.ndarray, w: np.ndarray, d: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Steps start..n of ``orbits`` for the seeds idx, whose states
+    (z, w, d) after step start - 1 all lie in R_inf, as ``orbits`` yields
+    them.
+
+    The steps are ``_far_image``, the image ``step`` computes there, with
+    neither the cuts nor the EXP_MAX tests repeated.  Whether the images
+    are finite is filtered on one sum: s = z1 + w1, which is the next
+    step's z + w, has a non-finite part wherever z1 or w1 has one, so if
+    s.sum() is finite, every part of z1 and w1 is.  d1 = d + 1 is finite
+    wherever d is and needs no test.  Only where the filter fails, as
+    when a sum of finite parts overflows, does the per-state test run;
+    it keeps the states ``step`` keeps.
+    """
+    with np.errstate(over="ignore"):
+        s = z + w
+    for k in range(start, n + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, w, d = _far_image(s, w, d)
+            s = z + w
+            finite = cmath.isfinite(s.sum())
+        if not finite:
+            ok = np.isfinite(z) & np.isfinite(w)
+            if not ok.all():
+                idx, z, w, d, s = idx[ok], z[ok], w[ok], d[ok], s[ok]
+                if not idx.size:
+                    return
+        yield k, idx, z, w, d
 
 
 def orbit(seed: PlanePoint, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

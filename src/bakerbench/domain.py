@@ -6,6 +6,15 @@ double-precision orbits, that L_alpha is forward invariant, that both
 coordinates obey the linear growth bounds, and that the telescoping
 identity for w_n - z_n holds up to rounding.  Each check runs on arrays
 of seeds; in_L is a 1-element call of in_wedge.
+
+The checks iterate their seeds with core.orbits.  ``invariance`` and
+``growth`` do so one chunk of ORBIT_CHUNK seeds at a time and leave a
+chunk at the first step after which every state left in it lies in
+R_inf (core) and their statistics provably cannot change any more: the
+results equal those of iterating every chunk to step n, bit for bit.
+The proofs are in their docstrings.  ``telescoping_residuals`` needs the
+margin at step n and iterates to the end, but adds no exponential for a
+chunk in R_inf, where both are +0.
 """
 
 from __future__ import annotations
@@ -15,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OverflowSignal, PlanePoint, exponentials, modulus, orbit, orbits
+from . import core
+from .core import (
+    OverflowSignal,
+    PlanePoint,
+    _wholly_in_r_inf,
+    exponentials,
+    modulus,
+    orbit,
+    orbits,
+)
 
 # L-membership threshold on Re w - Re z.
 L_THRESHOLD = 1.0
@@ -48,21 +66,47 @@ def in_L(p: PlanePoint, threshold: float = L_THRESHOLD) -> bool:
     return bool(in_wedge(z, w, d, threshold)[0])
 
 
+def _chunks(*arrays: np.ndarray):
+    """Views of ORBIT_CHUNK consecutive entries of each array, chunk by
+    chunk: the chunks core.orbits iterates together, so that leaving the
+    orbits of one leaves no other seed behind.  The size is read at each
+    call, as orbits reads it."""
+    size = core.ORBIT_CHUNK
+    for lo in range(0, arrays[0].size, size):
+        yield [a[lo:lo + size] for a in arrays]
+
+
 def invariance(
     z: np.ndarray, w: np.ndarray, alpha: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """L_alpha membership along the orbits of the seeds (z, w), one alpha per
     seed: per seed, the first step k <= n outside L_alpha (-1 if none) and
     the least margin minus alpha.  An orbit that overflows before step n is
-    checked over its finite prefix."""
+    checked over its finite prefix.
+
+    A chunk is left once every state left in it after step k, counted in
+    both statistics, lies in R_inf.  As computed there, Re z, Re w and
+    Re d never decrease (core module docstring), and rounding is
+    monotone, so fl(Re d_j - alpha) >= fl(Re d_k - alpha) for j > k: the
+    least margin stays.  A state in L_alpha at step k has Re d > alpha,
+    Re z > 1 and Re w > 1, and so has every later state of its orbit; a
+    state outside it has its first step recorded already.  A state that
+    overflows later only leaves the chunk.
+    """
     first = np.full(z.shape, -1)
     min_margin = np.full(z.shape, np.inf)
-    for k, idx, zk, wk, dk in orbits(z, w, n):
-        a = alpha[idx]
-        min_margin[idx] = np.minimum(min_margin[idx], dk.real - a)
-        outside = idx[~in_wedge(zk, wk, dk, a) & (first[idx] < 0)]
-        first[outside] = k
+    for zc, wc, ac, fc, mc in _chunks(z, w, alpha, first, min_margin):
+        for k, idx, zk, wk, dk in orbits(zc, wc, n):
+            a = ac[idx]
+            mc[idx] = np.minimum(mc[idx], dk.real - a)
+            fc[idx[~in_wedge(zk, wk, dk, a) & (fc[idx] < 0)]] = k
+            if _wholly_in_r_inf(zk, wk):
+                break
     return first, min_margin
+
+
+# E of the guard |Re z_k| + |Re z_0| + 2 |Re w_0| <= E Re w_k in growth.
+_GROWTH_GUARD = 2.0 ** 48
 
 
 def growth(
@@ -70,13 +114,55 @@ def growth(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least slack of Re w_k > 2 Re w_0 + k/2 and of Re z_k > Re z_0 + k/2
     over the finite steps k = 1..n, per seed (inf where no step is
-    finite)."""
+    finite): fl(fl(Re w_k - 2 Re w_0) - k/2) and fl(fl(Re z_k - Re z_0) -
+    k/2).
+
+    A chunk is left after a step k >= 1 (at k = 0 no slack is taken yet)
+    once every state left in it lies in R_inf and satisfies the guard
+
+        |Re z_k| + |Re z_0| + 2 |Re w_0| <= E Re w_k,   E = 2^48,
+
+    evaluated with its left side scaled by 1/E, so that a left side that
+    overflows fails it.  Then neither slack of a state falls below its
+    value at step k.  Proof, with u = 2^-53 and x_j for Re x_j, where
+    w_j > 373 at every finite state j >= k:
+
+    - The guard holds at j + 1 if at j: |z_{j+1}| = |fl(z_j + w_j)| <=
+      (1 + u)(|z_j| + w_j) and w_{j+1} = fl(2 w_j + 1) >= 2 w_j, so the
+      left side at j + 1 is at most (1 + u)(E + 1) w_j <= 2E w_j <=
+      E w_{j+1}.
+    - z: let a_j = fl(z_j - z_0).  Under the guard z_{j+1} - z_j >=
+      w_j - u(E + 1) w_j, and a_j and a_{j+1} are off by at most u E w_j
+      and u(1 + u)(E + 1) w_j, so a_{j+1} - a_j >= w_j(1 - 3u(1 + u)
+      (E + 1)) > 1/2.  Hence a_{j+1} - (j + 1)/2 >= a_j - j/2, and
+      monotone rounding keeps that order in the slack.
+    - w: let b_j = fl(w_j - 2 w_0), where 2 w_0 is finite (a seed with
+      |Re w_0| > DBL_MAX / 2 overflows at its first step).  w_{j+1} >=
+      2 w_j, and b_j and b_{j+1} are off by at most u(E + 1) w_j and
+      u(w_{j+1} + E w_j), so b_{j+1} - b_j >= w_j(1 - 3u - 2uE) > 1/2,
+      and the slack keeps its order likewise.
+    - Where a_j or b_j overflows it is an infinity, which stays as it is
+      or moves up, since z_j and w_j never decrease.
+
+    Any E from 2 to 2^51 would do, so the rounding of the guard itself
+    cannot matter.  Without the guard the slack is not final: from
+    Re z_0 = 1e20, Re w_0 = 400, z_j = fl(1e20 + w_j) stays 1e20 while
+    w_j < 8192, and the z slack falls by 1/2 a step.
+    """
     min_w = np.full(z.shape, np.inf)
     min_z = np.full(z.shape, np.inf)
-    for k, idx, zk, wk, _ in orbits(z, w, n):
-        if k:
-            min_w[idx] = np.minimum(min_w[idx], wk.real - 2.0 * w.real[idx] - k / 2.0)
-            min_z[idx] = np.minimum(min_z[idx], zk.real - z.real[idx] - k / 2.0)
+    for zc, wc, mw, mz in _chunks(z, w, min_w, min_z):
+        for k, idx, zk, wk, _ in orbits(zc, wc, n):
+            if not k:
+                continue
+            z0, w0 = zc.real[idx], wc.real[idx]
+            mw[idx] = np.minimum(mw[idx], wk.real - 2.0 * w0 - k / 2.0)
+            mz[idx] = np.minimum(mz[idx], zk.real - z0 - k / 2.0)
+            if _wholly_in_r_inf(zk, wk):
+                with np.errstate(over="ignore"):
+                    size = np.abs(zk.real) + np.abs(z0) + 2.0 * np.abs(w0)
+                if (size / _GROWTH_GUARD <= wk.real).all():
+                    break
     return min_w, min_z
 
 
@@ -94,18 +180,22 @@ def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     values measure the rounding of the double-precision orbits, normalized
     by max(1, |w_n - z_n|).  Raises OverflowSignal if an orbit overflows
     before step n.
+
+    A chunk in R_inf adds nothing: both of its terms are +0, and adding
+    them could only turn a -0 part of the right side into +0, a sign that
+    the modulus of the defect does not read.
     """
     rhs = w - z + n
     lhs = np.full(z.shape, np.nan + 0j)
     for k, idx, zk, wk, dk in orbits(z, w, n):
-        if k < n:
+        if k == n:
+            lhs[idx] = dk
+        elif not _wholly_in_r_inf(zk, wk):
             # A term may overflow only in an orbit that is about to stop,
             # and that stop raises below.
             with np.errstate(over="ignore", invalid="ignore"):
                 e_s, e_w = exponentials(zk + wk, wk)
                 rhs[idx] += e_w - e_s
-        else:
-            lhs[idx] = dk
     if np.isnan(lhs).any():
         raise OverflowSignal(f"orbit overflowed before step {n}")
     return modulus(lhs - rhs) / np.maximum(1.0, modulus(lhs))

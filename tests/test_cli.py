@@ -529,6 +529,48 @@ class TestConfig:
         assert code == 0
         assert "samples=5" in out.splitlines()[1]
 
+    def test_config_abbreviated_with_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"samples": 5}))
+        code, out, _ = run_cli(
+            ["verify", "--suite", "growth", "--steps", "3", f"--conf={cfg}"],
+            capsys
+        )
+        assert code == 0
+        assert "samples=5" in out.splitlines()[1]
+
+    def test_config_file_as_last_argument(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"samples": 5}))
+        code, out, _ = run_cli(
+            ["verify", "--suite", "growth", "--steps", "3", "--config", str(cfg)],
+            capsys
+        )
+        assert code == 0
+        assert "samples=5" in out.splitlines()[1]
+
+    @pytest.mark.parametrize("token, may", [
+        ("--c", True), ("--conf=x.json", True), ("--config", True),
+        ("--config=", True), ("--", False), ("-c", False), ("--configs", False),
+        ("--center-z=2,0", False), ("--count=8", False), ("config", False),
+    ])
+    def test_tokens_that_may_name_config(self, token, may):
+        assert cli._may_name_config(token) is may
+
+    def test_psh_argv_skips_the_config_parse(self, monkeypatch, capsys):
+        argv = ["psh", "--center-z=2,0", "--center-w=4,0", "--dir-z=1,0",
+                "--dir-w=0,1", "--radius=0.1", "--samples=16", "--n=3"]
+        expected = run_cli(argv, capsys)
+        calls = []
+        parse = cli._PRE.parse_known_args
+        monkeypatch.setattr(cli._PRE, "parse_known_args",
+                            lambda *a: calls.append(a) or parse(*a))
+        assert run_cli(argv, capsys) == expected
+        assert expected[0] == 0 and calls == []
+        run_cli(["iterate", "--z", "0,0", "--w", "0,0", "--steps", "1",
+                 "--conf=missing.json"], capsys)
+        assert len(calls) == 1
+
     def test_comma_in_path_is_not_complex(self, tmp_path, capsys):
         out = tmp_path / "a,b.txt"
         cfg = tmp_path / "c.json"
