@@ -105,8 +105,19 @@ def invariance(
     return first, min_margin
 
 
-# E of the guard |Re z_k| + |Re z_0| + 2 |Re w_0| <= E Re w_k in growth.
-_GROWTH_GUARD = 2.0 ** 48
+def _growth_settled(
+    z: np.ndarray, w: np.ndarray, z0: np.ndarray, w0: np.ndarray
+) -> bool:
+    """The guard of ``growth`` on states (z, w) with seeds (z0, w0):
+    |Re z| + |Re z0| + 2 |Re w0| <= 2^48 Re w everywhere.  The left side
+    is summed in place and scaled by 2^-48; where it overflows, the guard
+    fails.  Its rounding cannot matter (see growth)."""
+    with np.errstate(over="ignore"):
+        size = np.abs(z.real)
+        size += np.abs(z0.real)
+        size += 2.0 * np.abs(w0.real)
+    size *= 2.0 ** -48
+    return (size <= w.real).all()
 
 
 def growth(
@@ -122,8 +133,7 @@ def growth(
 
         |Re z_k| + |Re z_0| + 2 |Re w_0| <= E Re w_k,   E = 2^48,
 
-    evaluated with its left side scaled by 1/E, so that a left side that
-    overflows fails it.  Then neither slack of a state falls below its
+    (``_growth_settled``).  Then neither slack of a state falls below its
     value at step k.  Proof, with u = 2^-53 and x_j for Re x_j, where
     w_j > 373 at every finite state j >= k:
 
@@ -155,14 +165,10 @@ def growth(
         for k, idx, zk, wk, _ in orbits(zc, wc, n):
             if not k:
                 continue
-            z0, w0 = zc.real[idx], wc.real[idx]
-            mw[idx] = np.minimum(mw[idx], wk.real - 2.0 * w0 - k / 2.0)
-            mz[idx] = np.minimum(mz[idx], zk.real - z0 - k / 2.0)
-            if _wholly_in_r_inf(zk, wk):
-                with np.errstate(over="ignore"):
-                    size = np.abs(zk.real) + np.abs(z0) + 2.0 * np.abs(w0)
-                if (size / _GROWTH_GUARD <= wk.real).all():
-                    break
+            mw[idx] = np.minimum(mw[idx], wk.real - 2.0 * wc.real[idx] - k / 2.0)
+            mz[idx] = np.minimum(mz[idx], zk.real - zc.real[idx] - k / 2.0)
+            if _wholly_in_r_inf(zk, wk) and _growth_settled(zk, wk, zc[idx], wc[idx]):
+                break
     return min_w, min_z
 
 
