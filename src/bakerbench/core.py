@@ -7,10 +7,11 @@ The map under study is
 acting on C^2.  All arithmetic is double precision.  ``step``, on arrays
 of states, evaluates F, and every orbit runs on it up to R_inf (below),
 where both ``step`` and ``orbits`` evaluate F by ``_far_image`` alone:
-``orbits`` iterates seeds in chunks, ``orbit`` concatenates one seed's
-states into arrays (z, w, d), and ``apply_f`` is one ``step``.  Any
-evaluation that would leave the representable range stops the orbit
-instead of letting infinities or NaNs leak into stored state.
+``orbits`` iterates seeds in the chunks of ``chunks``, each by
+``chunk_orbits``; ``orbit`` concatenates one seed's states into arrays
+(z, w, d), and ``apply_f`` is one ``step``.  Any evaluation that would
+leave the representable range stops the orbit instead of letting
+infinities or NaNs leak into stored state.
 
 In R_inf = {Re(z + w) > S_CUT, Re w > W_CUT} both exponentials of F
 underflow to zero, so there F is exactly (z + w, 2w + 1) and the margin
@@ -27,8 +28,9 @@ with Re w > W_CUT > 0, rounding is monotone, so Re z' = fl(Re z + Re w)
 >= Re z, Re w' = fl(2 Re w + 1) >= Re w and Re(z' + w') =
 fl(Re z' + Re w') >= Re z' = fl(Re(z + w)) > S_CUT, for every image that
 is finite.  Along such orbits Re z, Re w and Re d = fl(Re d + 1) never
-decrease.  ``orbits`` therefore iterates a chunk that lies wholly in R_inf
-on ``_far_image`` alone, without testing the cuts again (``_far_orbit``).
+decrease.  ``chunk_orbits`` therefore iterates a chunk that lies wholly
+in R_inf, with finite margins, on ``_far_image`` alone, without testing
+the cuts again (``_far_orbit``).
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def in_r_inf(s: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (s.real > S_CUT) & (w.real > W_CUT)
 
 
-def _wholly_in_r_inf(z: np.ndarray, w: np.ndarray) -> bool:
+def all_in_r_inf(z: np.ndarray, w: np.ndarray) -> bool:
     """Whether every state (z, w) of a non-empty batch of finite states
     lies in R_inf.  Re(z + w), which may overflow, is formed only once
     every Re w is past its cut."""
@@ -70,6 +72,13 @@ def _wholly_in_r_inf(z: np.ndarray, w: np.ndarray) -> bool:
 # Seeds that ``orbits`` iterates together.  It bounds the memory of the
 # kernel's temporaries, whatever the number of seeds.
 ORBIT_CHUNK = 2048
+
+
+def chunks(size: int) -> Iterator[np.ndarray]:
+    """The indices of size seeds, ORBIT_CHUNK consecutive ones at a time:
+    the chunks that ``orbits`` iterates together."""
+    for lo in range(0, size, ORBIT_CHUNK):
+        yield np.arange(lo, min(lo + ORBIT_CHUNK, size))
 
 
 class OverflowSignal(Exception):
@@ -202,33 +211,46 @@ def orbits(
     with their carried margins.  A seed is dropped at the step that
     overflows; a chunk ends early when none of its seeds is left.
 
-    Once every state of a chunk is in R_inf, it stays there (see the
-    module docstring), and ``_far_orbit`` iterates the rest of it.
+    Each chunk is ``chunk_orbits``.
     """
-    for lo in range(0, z.size, ORBIT_CHUNK):
-        idx = np.arange(lo, min(lo + ORBIT_CHUNK, z.size))
-        zk, wk = z[idx], w[idx]
-        with np.errstate(over="ignore", invalid="ignore"):
-            dk = wk - zk
-        yield 0, idx, zk, wk, dk
-        for k in range(1, n + 1):
-            if _wholly_in_r_inf(zk, wk):
-                yield from _far_orbit(k, n, idx, zk, wk, dk)
-                break
-            zk, wk, dk, ok = step(zk, wk, dk)
-            if not ok.all():
-                idx, zk, wk, dk = idx[ok], zk[ok], wk[ok], dk[ok]
-                if not idx.size:
-                    break
-            yield k, idx, zk, wk, dk
+    for idx in chunks(z.size):
+        yield from chunk_orbits(z, w, idx, n)
+
+
+def chunk_orbits(
+    z: np.ndarray, w: np.ndarray, idx: np.ndarray, n: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """``orbits`` for the one chunk of seeds idx of (z, w), as ``chunks``
+    gives it: what ``orbits`` yields for it, in the same order.
+
+    Once every state of the chunk is in R_inf, it stays there (see the
+    module docstring), and ``_far_orbit`` iterates the rest of it.  That
+    needs finite margins too, which ``step`` keeps from step 1 on: only
+    d_0 = w_0 - z_0 may overflow, and ``step`` drops such a seed at step
+    1 even where its images z_1 and w_1 are finite.
+    """
+    zk, wk = z[idx], w[idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dk = wk - zk
+    yield 0, idx, zk, wk, dk
+    for k in range(1, n + 1):
+        if all_in_r_inf(zk, wk) and np.isfinite(dk).all():
+            yield from _far_orbit(k, n, idx, zk, wk, dk)
+            return
+        zk, wk, dk, ok = step(zk, wk, dk)
+        if not ok.all():
+            idx, zk, wk, dk = idx[ok], zk[ok], wk[ok], dk[ok]
+            if not idx.size:
+                return
+        yield k, idx, zk, wk, dk
 
 
 def _far_orbit(
     start: int, n: int, idx: np.ndarray, z: np.ndarray, w: np.ndarray, d: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Steps start..n of ``orbits`` for the seeds idx, whose states
-    (z, w, d) after step start - 1 all lie in R_inf, as ``orbits`` yields
-    them.
+    (z, w, d) after step start - 1 all lie in R_inf and have finite
+    margins d, as ``chunk_orbits`` yields them.
 
     The steps are ``_far_image``, the image ``step`` computes there, with
     neither the cuts nor the EXP_MAX tests repeated.  Whether the images

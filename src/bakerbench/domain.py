@@ -8,10 +8,11 @@ identity for w_n - z_n holds up to rounding.  Each check runs on arrays
 of seeds; in_L is a 1-element call of in_wedge.
 
 The checks iterate their seeds with core.orbits.  ``invariance`` and
-``growth`` do so one chunk of ORBIT_CHUNK seeds at a time and leave a
-chunk at the first step after which every state left in it lies in
-R_inf (core) and their statistics provably cannot change any more: the
-results equal those of iterating every chunk to step n, bit for bit.
+``growth`` do so one chunk of core.chunks at a time (core.chunk_orbits)
+and leave a chunk at the first step after which every state left in it
+lies in R_inf (core) and their statistics provably cannot change any
+more: the results equal those of iterating every chunk to step n, bit
+for bit.
 The proofs are in their docstrings.  ``telescoping_residuals`` needs the
 margin at step n and iterates to the end, but adds no exponential for a
 chunk in R_inf, where both are +0.
@@ -24,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .core import (
     OverflowSignal,
     PlanePoint,
-    _wholly_in_r_inf,
+    all_in_r_inf,
+    chunk_orbits,
+    chunks,
     exponentials,
     modulus,
     orbit,
@@ -66,16 +68,6 @@ def in_L(p: PlanePoint, threshold: float = L_THRESHOLD) -> bool:
     return bool(in_wedge(z, w, d, threshold)[0])
 
 
-def _chunks(*arrays: np.ndarray):
-    """Views of ORBIT_CHUNK consecutive entries of each array, chunk by
-    chunk: the chunks core.orbits iterates together, so that leaving the
-    orbits of one leaves no other seed behind.  The size is read at each
-    call, as orbits reads it."""
-    size = core.ORBIT_CHUNK
-    for lo in range(0, arrays[0].size, size):
-        yield [a[lo:lo + size] for a in arrays]
-
-
 def invariance(
     z: np.ndarray, w: np.ndarray, alpha: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,12 +87,13 @@ def invariance(
     """
     first = np.full(z.shape, -1)
     min_margin = np.full(z.shape, np.inf)
-    for zc, wc, ac, fc, mc in _chunks(z, w, alpha, first, min_margin):
-        for k, idx, zk, wk, dk in orbits(zc, wc, n):
-            a = ac[idx]
-            mc[idx] = np.minimum(mc[idx], dk.real - a)
-            fc[idx[~in_wedge(zk, wk, dk, a) & (fc[idx] < 0)]] = k
-            if _wholly_in_r_inf(zk, wk):
+    for chunk in chunks(z.size):
+        for k, idx, zk, wk, dk in chunk_orbits(z, w, chunk, n):
+            a = alpha[idx]
+            min_margin[idx] = np.minimum(min_margin[idx], dk.real - a)
+            outside = idx[~in_wedge(zk, wk, dk, a) & (first[idx] < 0)]
+            first[outside] = k
+            if all_in_r_inf(zk, wk):
                 break
     return first, min_margin
 
@@ -161,13 +154,13 @@ def growth(
     """
     min_w = np.full(z.shape, np.inf)
     min_z = np.full(z.shape, np.inf)
-    for zc, wc, mw, mz in _chunks(z, w, min_w, min_z):
-        for k, idx, zk, wk, _ in orbits(zc, wc, n):
+    for chunk in chunks(z.size):
+        for k, idx, zk, wk, _ in chunk_orbits(z, w, chunk, n):
             if not k:
                 continue
-            mw[idx] = np.minimum(mw[idx], wk.real - 2.0 * wc.real[idx] - k / 2.0)
-            mz[idx] = np.minimum(mz[idx], zk.real - zc.real[idx] - k / 2.0)
-            if _wholly_in_r_inf(zk, wk) and _growth_settled(zk, wk, zc[idx], wc[idx]):
+            min_w[idx] = np.minimum(min_w[idx], wk.real - 2.0 * w.real[idx] - k / 2.0)
+            min_z[idx] = np.minimum(min_z[idx], zk.real - z.real[idx] - k / 2.0)
+            if all_in_r_inf(zk, wk) and _growth_settled(zk, wk, z[idx], w[idx]):
                 break
     return min_w, min_z
 
@@ -191,12 +184,13 @@ def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     them could only turn a -0 part of the right side into +0, a sign that
     the modulus of the defect does not read.
     """
-    rhs = w - z + n
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = w - z + n  # where it overflows, so does the orbit at step 1
     lhs = np.full(z.shape, np.nan + 0j)
     for k, idx, zk, wk, dk in orbits(z, w, n):
         if k == n:
             lhs[idx] = dk
-        elif not _wholly_in_r_inf(zk, wk):
+        elif not all_in_r_inf(zk, wk):
             # A term may overflow only in an orbit that is about to stop,
             # and that stop raises below.
             with np.errstate(over="ignore", invalid="ignore"):

@@ -423,16 +423,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, expected_code, expected_out", [
         (["iterate", "--z=-1.7e308,746", "--w=1.7e308,-710", "--steps=3"], 0,
          "margin=inf u_n=-2.0\nnotice=orbit-truncated-by-overflow overflow_step=0\n"),
+        (["iterate", "--z=500,1.7e308", "--w=500,-0.5e308", "--steps=3"], 0,
+         "n=0 re_z=500.0 im_z=1.7e+308 re_w=500.0 im_w=-5e+307 margin=0.0 "
+         "u_n=-1.0\nnotice=orbit-truncated-by-overflow overflow_step=0\n"),
+        (["iterate", "--z=500,-1.7e308", "--w=500,0.5e308", "--steps=3"], 0,
+         "n=0 re_z=500.0 im_z=-1.7e+308 re_w=500.0 im_w=5e+307 margin=0.0 "
+         "u_n=-1.0\nnotice=orbit-truncated-by-overflow overflow_step=0\n"),
         (["psh", "--center-z=1e16,5", "--center-w=746,746", "--dir-z=1e16,746",
           "--dir-w=0.5,5", "--radius=1.7e308", "--samples=64", "--n=0"], 4, None),
         (["render", "--w-fixed=1.7e308,0", "--xmin=-1.7e308", "--xmax=-1.6e308",
           "--ymin=0", "--ymax=0", "--width=1", "--height=1"], 0,
          "entered=0 overflowed=1 not_entered=0\n"),
-    ], ids=["iterate", "psh", "render"])
+    ], ids=["iterate", "iterate-r-inf", "iterate-r-inf-reversed", "psh", "render"])
     def test_seed_whose_margin_leaves_double_range_warns_nothing(
             self, argv, expected_code, expected_out, tmp_path, monkeypatch, capsys):
         # w - z overflows, or is inf - inf, at the seed: the margin is not
-        # finite, and the seed overflows at step 0.
+        # finite, and the seed overflows at step 0, also where it lies in
+        # R_inf and its image is finite.
         monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -74,8 +74,17 @@ def sum_overflows():
     return states(zr, zi, wr, np.zeros(6))
 
 
+def margin_overflows():
+    """States in R_inf whose margin d_0 = w_0 - z_0 overflows in its
+    imaginary part while z_0 and w_0 stay finite, beside one whose margin
+    is finite: step drops the first three at step 1, where d_0 + 1 is not
+    finite, although their images z_1 and w_1 are."""
+    return states([500.0, 500.0, 800.0, 500.0], [1.7e308, -1.7e308, 1.7e308, 0.0],
+                  [500.0, 500.0, 400.0, 500.0], [-0.5e308, 0.5e308, -1.7e308, 0.0])
+
+
 FAMILIES = {f.__name__: f for f in (far_z, thrown, edge, signed_zeros, partly,
-                                    sum_overflows)}
+                                    sum_overflows, margin_overflows)}
 
 
 def all_seeds():
@@ -139,7 +148,8 @@ def test_orbits_match_scalar_orbits(family, n, chunk):
         assert bits(seed) == bits(ref)
 
 
-@pytest.mark.parametrize("family", ["thrown", "edge", "sum_overflows", "partly"])
+@pytest.mark.parametrize("family", ["thrown", "edge", "sum_overflows", "partly",
+                                    "margin_overflows"])
 def test_orbit_concatenates_to_the_scalar_orbit(family):
     # 1,100 steps: every one of these orbits overflows before the end
     z, w = FAMILIES[family]()
@@ -209,13 +219,33 @@ def test_telescoping_matches_stepwise(chunk):
     assert bits(got) == bits(np.array(ref))
 
 
+def test_margin_overflows_drops_its_seeds_at_step_1():
+    """The images of these seeds at step 1 are finite, and so is their
+    sum; only the margin shows the overflow, as in step."""
+    z, w = margin_overflows()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(w - z).all()
+    kept = [idx.tolist() for k, idx, *_ in orbits(z, w, 2)]
+    assert kept == [[0, 1, 2, 3], [3], [3]]
+
+
+def test_telescoping_raises_where_the_margin_overflows():
+    z, w = margin_overflows()
+    for i in range(3):
+        with pytest.raises(core.OverflowSignal):
+            telescoping_residuals(z[i:i + 1], w[i:i + 1], 1)
+    assert np.isfinite(telescoping_residuals(z[3:], w[3:], 1)).all()
+
+
 @pytest.mark.parametrize("family, calls", [
     ("sum_overflows", 0), ("far_z", 1), ("thrown", 2), ("partly", 7),
+    ("margin_overflows", 1),
 ])
 def test_orbits_call_step_only_outside_r_inf(family, calls, monkeypatch):
     """Of 40 steps, orbits makes step calls only until every state left
     in the chunk is in R_inf: none where the seeds are, one where a seed
-    with Re w_0 < 373 or Re z_0 < 0 overflows or enters at step 1, two
+    with Re w_0 < 373 or Re z_0 < 0 overflows or enters at step 1, or
+    where a seed's margin is not finite at step 0, two
     where e^{-2w} throws the seeds far, into R_inf or out of range, and
     seven for the seeds of L near
     the origin."""
@@ -233,7 +263,7 @@ def test_suites_leave_their_chunks_in_r_inf(suite, monkeypatch):
     chunks reach R_inf after about six steps, where orbits calls no step
     and the suite leaves them."""
     calls, taken = [], []
-    step, chunk_orbits = core.step, domain.orbits
+    step, chunk_orbits = core.step, domain.chunk_orbits
     monkeypatch.setattr(core, "step", lambda *a: calls.append(1) or step(*a))
 
     def counted(*args):
@@ -241,7 +271,7 @@ def test_suites_leave_their_chunks_in_r_inf(suite, monkeypatch):
             taken.append(state[0])
             yield state
 
-    monkeypatch.setattr(domain, "orbits", counted)
+    monkeypatch.setattr(domain, "chunk_orbits", counted)
     assert suite(10_000, 104, 30).passed
     assert 0 < len(calls) <= 40
     assert len(taken) <= 45
