@@ -12,10 +12,9 @@ The checks iterate their seeds with core.orbits.  ``invariance`` and
 and leave a chunk at the first step after which every state left in it
 lies in R_inf (core) and their statistics provably cannot change any
 more: the results equal those of iterating every chunk to step n, bit
-for bit.
-The proofs are in their docstrings.  ``telescoping_residuals`` needs the
-margin at step n and iterates to the end, but adds no exponential for a
-chunk in R_inf, where both are +0.
+for bit.  The proofs are in their docstrings.  ``telescoping_residuals``
+needs the margin at step n and iterates to the end, but adds no
+exponential for a chunk in R_inf, where both are +0.
 """
 
 from __future__ import annotations
