@@ -5,32 +5,33 @@ The map under study is
     F(z, w) = (e^{-(z+w)} + z + w,  e^{-2w} + 2w + 1)
 
 acting on C^2.  All arithmetic is double precision.  ``step``, on arrays
-of states, evaluates F, and every orbit runs on it up to R_inf (below),
-where both ``step`` and ``orbits`` evaluate F by ``_far_image`` alone:
-``orbits`` iterates seeds in the chunks of ``chunks``, each by
-``chunk_orbits``; ``orbit`` concatenates one seed's states into arrays
-(z, w, d), and ``apply_f`` is one ``step``.  Any evaluation that would
-leave the representable range stops the orbit instead of letting
-infinities or NaNs leak into stored state.
+of states, evaluates F, the margin update and the overflow rule, with
+both exponentials on every state.  ``orbits`` iterates seeds in the
+chunks of ``chunks``, each by ``chunk_orbits``: on ``step`` until the
+chunk lies in R_inf (below), and from there by ``_far_orbit``.  ``orbit``
+concatenates one seed's states into arrays (z, w, d), and ``apply_f`` is
+one ``step``.  Any evaluation that would leave the representable range
+stops the orbit instead of letting infinities or NaNs leak into stored
+state.
 
 In R_inf = {Re(z + w) > S_CUT, Re w > W_CUT} both exponentials of F
-underflow to zero, so there F is exactly (z + w, 2w + 1) and the margin
-rises by exactly fl(d + 1) per step; ``_far_image`` is that image, the
-one evaluation of F in R_inf.  ``step`` skips the exponentials that
-underflow: it calls exp on every state when none is far, on no state when
-all are in R_inf, and on the states below the cuts otherwise.  A skipped
-exponential is +0 where exp gives +-0, and the sign of a zero can show
-only in a result part that is zero; there round-to-nearest gives +0
-either way, so the images keep their bits.
+underflow to +-0, so there F is exactly (z + w, 2w + 1) and the margin
+rises by exactly fl(d + 1) per step.  ``_far_orbit`` evaluates that
+image with no exp, with z' = s + 0.0 for s = z + w, and keeps the bits
+of ``step``.  The sign of a zero exponential can show only in a result
+part that is zero.  In w' and d' that part is a sum with the +0 of
+1 + 0j, which round-to-nearest makes +0.  In z' = e^{-s} + s, where
+Im s = +-0, Im e^{-s} = -e^{-Re s} sin(Im s) is -+0, and the sum is +0
+again, as s + 0.0 gives.
 
 R_inf is forward invariant as computed, not only in real arithmetic:
 with Re w > W_CUT > 0, rounding is monotone, so Re z' = fl(Re z + Re w)
 >= Re z, Re w' = fl(2 Re w + 1) >= Re w and Re(z' + w') =
 fl(Re z' + Re w') >= Re z' = fl(Re(z + w)) > S_CUT, for every image that
 is finite.  Along such orbits Re z, Re w and Re d = fl(Re d + 1) never
-decrease.  ``chunk_orbits`` therefore iterates a chunk that lies wholly
-in R_inf, with finite margins, on ``_far_image`` alone, without testing
-the cuts again (``_far_orbit``).
+decrease.  ``chunk_orbits`` therefore hands a chunk that lies wholly in
+R_inf, with finite margins, to ``_far_orbit``, which does not test the
+cuts again.
 """
 
 from __future__ import annotations
@@ -118,37 +119,13 @@ def modulus(c: np.ndarray) -> np.ndarray:
     return np.hypot(c.real, c.imag)
 
 
-def _exp_unless(x: np.ndarray, re: np.ndarray, cut: float) -> np.ndarray:
-    """x overwritten with e^x elementwise, with +0 where re > cut; exp runs
-    only on the other elements.  The guard is a max, not a mask, so that
-    where no element is past the cut, as on most steps of the classifier,
-    no mask is made."""
-    if re.max(initial=-np.inf) > cut:
-        past = re > cut
-        np.exp(x, out=x, where=~past)
-        x[past] = 0
-        return x
-    return np.exp(x, out=x)
-
-
 def exponentials(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{-s}, e^{-2w}) elementwise, as np.exp computes them, except +0
-    where they underflow: Re s > S_CUT, Re w > W_CUT.  Each is a fresh
-    array, computed in place from the negated exponent.  An exponential
-    may overflow; the caller holds the np.errstate that silences it."""
-    return _exp_unless(-s, s.real, S_CUT), _exp_unless(-2 * w, w.real, W_CUT)
-
-
-def _far_image(s: np.ndarray, w: np.ndarray, d: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F and the margin on states in R_inf, given s = z + w:
-    (s + 0.0, 2w + 1, d + 1), with s overwritten by the first.  The + 0.0
-    turns a -0 part into +0, as adding the zero exponential does.  The
-    images may overflow; the caller holds the np.errstate."""
-    s += 0.0
-    w1 = w + w  # 2w; a zero imaginary part may differ in sign from that
-    w1 += 1.0   # of 2 * w, and adding 1 + 0j makes it +0 in both
-    return s, w1, d + 1.0
+    """(e^{-s}, e^{-2w}) elementwise, as np.exp computes them.  Each is a
+    fresh array, computed in place from the negated exponent.  An
+    exponential may overflow or underflow; the caller holds the
+    np.errstate that silences it."""
+    e_s, e_w = -s, -2 * w
+    return np.exp(e_s, out=e_s), np.exp(e_w, out=e_w)
 
 
 def step(
@@ -165,11 +142,7 @@ def step(
     both coordinates grow like 2^n while d grows like n, so that subtraction
     loses about one significant bit of d per step.
 
-    When every state is in R_inf, both exponentials underflow and the step
-    is exact: ``_far_image`` gives z1 = (z + w) + 0.0, w1 = 2w + 1,
-    d1 = d + 1.  Otherwise ``exponentials`` skips only the ones that
-    underflow.  Either way the bits equal those of evaluating both
-    exponentials everywhere.
+    Both exponentials are evaluated on every state, by ``exponentials``.
     The sums are formed in place, in the order of the formulas above up to
     commuting two terms, which keeps the bits: z1 is written into the
     array of e^{-(z+w)} once the margin has used it.
@@ -177,24 +150,20 @@ def step(
     ok is False where the step overflowed: an exponent has real part above
     EXP_MAX, or any result is non-finite.  The images there are meaningless.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         s = z + w
-        if in_r_inf(s.real.min(initial=np.inf), w.real.min(initial=np.inf)):
-            z1, w1, d1 = _far_image(s, w, d)
-            ok = np.isfinite(z1)
-        else:
-            ok = s.real >= -EXP_MAX
-            ok &= w.real >= -EXP_MAX / 2
-            z1, e_w = exponentials(s, w)
-            d1 = d + 1
-            d1 += e_w
-            d1 -= z1
-            z1 += s
-            del s  # so that no more than four new arrays of states are live
-            w1 = 2 * w
-            w1 += e_w
-            w1 += 1
-            ok &= np.isfinite(z1)
+        ok = s.real >= -EXP_MAX
+        ok &= w.real >= -EXP_MAX / 2
+        z1, e_w = exponentials(s, w)
+        d1 = d + 1.0
+        d1 += e_w
+        d1 -= z1
+        z1 += s
+        del s  # so that no more than four new arrays of states are live
+        w1 = 2 * w
+        w1 += e_w
+        w1 += 1.0
+        ok &= np.isfinite(z1)
         ok &= np.isfinite(w1)
         ok &= np.isfinite(d1)
     return z1, w1, d1, ok
@@ -252,20 +221,26 @@ def _far_orbit(
     (z, w, d) after step start - 1 all lie in R_inf and have finite
     margins d, as ``chunk_orbits`` yields them.
 
-    The steps are ``_far_image``, the image ``step`` computes there, with
-    neither the cuts nor the EXP_MAX tests repeated.  Whether the images
-    are finite is filtered on one sum: s = z1 + w1, which is the next
-    step's z + w, has a non-finite part wherever z1 or w1 has one, so if
-    s.sum() is finite, every part of z1 and w1 is.  d1 = d + 1 is finite
-    wherever d is and needs no test.  Only where the filter fails, as
-    when a sum of finite parts overflows, does the per-state test run;
-    it keeps the states ``step`` keeps.
+    Each step is F's exact image in R_inf, where both exponentials are
+    +-0: z1 = s + 0.0, w1 = 2w + 1 and d1 = d + 1, s = z + w, which has the
+    bits of ``step``.  The + 0.0 turns a -0 part of s into +0, as adding
+    the zero e^{-s} does.  Neither the cuts nor the EXP_MAX tests are
+    repeated.  Whether the images are finite is filtered on one sum:
+    s = z1 + w1, which is the next step's z + w, has a non-finite part
+    wherever z1 or w1 has one, so if s.sum() is finite, every part of z1
+    and w1 is.  d1 = d + 1 is finite wherever d is and needs no test.
+    Only where the filter fails, as when a sum of finite parts overflows,
+    does the per-state test run; it keeps the states ``step`` keeps.
     """
     with np.errstate(over="ignore"):
         s = z + w
     for k in range(start, n + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            z, w, d = _far_image(s, w, d)
+            z = s
+            z += 0.0
+            w = w + w  # 2w; a zero imaginary part may differ in sign from that
+            w += 1.0   # of 2 * w, and adding 1 + 0j makes it +0 in both
+            d = d + 1.0
             s = z + w
             finite = cmath.isfinite(s.sum())
         if not finite:

@@ -7,14 +7,14 @@ coordinates obey the linear growth bounds, and that the telescoping
 identity for w_n - z_n holds up to rounding.  Each check runs on arrays
 of seeds; in_L is a 1-element call of in_wedge.
 
-The checks iterate their seeds with core.orbits.  ``invariance`` and
-``growth`` do so one chunk of core.chunks at a time (core.chunk_orbits)
-and leave a chunk at the first step after which every state left in it
-lies in R_inf (core) and their statistics provably cannot change any
-more: the results equal those of iterating every chunk to step n, bit
-for bit.  The proofs are in their docstrings.  ``telescoping_residuals``
-needs the margin at step n and iterates to the end, but adds no
-exponential for a chunk in R_inf, where both are +0.
+The checks iterate their seeds one chunk of core.chunks at a time
+(core.chunk_orbits).  ``invariance`` and ``growth`` leave a chunk at the
+first step after which every state left in it lies in R_inf (core) and
+their statistics provably cannot change any more: the results equal
+those of iterating every chunk to step n, bit for bit.  The proofs are
+in their docstrings.  ``telescoping_residuals`` needs the margin at step
+n and iterates every chunk to the end, but adds no exponential once the
+chunk lies in R_inf, where both are +-0.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .core import (
     exponentials,
     modulus,
     orbit,
-    orbits,
 )
 
 # L-membership threshold on Re w - Re z.
@@ -179,22 +178,29 @@ def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     by max(1, |w_n - z_n|).  Raises OverflowSignal if an orbit overflows
     before step n.
 
-    A chunk in R_inf adds nothing: both of its terms are +0, and adding
-    them could only turn a -0 part of the right side into +0, a sign that
-    the modulus of the defect does not read.
+    A chunk in R_inf adds nothing: both of its terms are +-0, and adding
+    them could only change the sign of a zero part of the right side, a
+    sign that the modulus of the defect does not read.  The chunk stays in
+    R_inf (core module docstring), so once the test holds it is not made
+    again.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = w - z + n  # where it overflows, so does the orbit at step 1
     lhs = np.full(z.shape, np.nan + 0j)
-    for k, idx, zk, wk, dk in orbits(z, w, n):
-        if k == n:
-            lhs[idx] = dk
-        elif not all_in_r_inf(zk, wk):
-            # A term may overflow only in an orbit that is about to stop,
-            # and that stop raises below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                e_s, e_w = exponentials(zk + wk, wk)
-                rhs[idx] += e_w - e_s
+    for chunk in chunks(z.size):
+        far = False
+        for k, idx, zk, wk, dk in chunk_orbits(z, w, chunk, n):
+            if k == n:
+                lhs[idx] = dk
+            elif not far:
+                far = all_in_r_inf(zk, wk)
+                if far:
+                    continue
+                # A term may overflow only in an orbit that is about to
+                # stop, and that stop raises below.
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    e_s, e_w = exponentials(zk + wk, wk)
+                    rhs[idx] += e_w - e_s
     if np.isnan(lhs).any():
         raise OverflowSignal(f"orbit overflowed before step {n}")
     return modulus(lhs - rhs) / np.maximum(1.0, modulus(lhs))

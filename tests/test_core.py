@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bakerbench import core
 from bakerbench.core import (
     EXP_MAX,
     OverflowSignal,
@@ -110,7 +109,7 @@ class TestOrbit:
             assert apply_f(PlanePoint(z[k], w[k])) == PlanePoint(z[k + 1], w[k + 1])
 
     @pytest.mark.parametrize("seed, n, length", [
-        # Re w passes W_CUT = 373 at step 7; from there step skips exp.
+        # Re w passes W_CUT = 373 at step 7, where e^{-2w} underflows.
         (PlanePoint(2 + 0.5j, 4 - 1j), 12, 13),
         # Applying F to state 2 overflows.
         (PlanePoint(-4.8 - 0.4j, -1.8 + 1.8j), 8, 3),
@@ -223,17 +222,12 @@ BATCHES = {
 
 
 @pytest.mark.parametrize("batch", BATCHES)
-def test_step_at_the_underflow_cut_matches_exp_everywhere(batch, monkeypatch):
-    """step skips exponentials beyond the underflow cut; the bits, signed
-    zeros included, must be those of exp evaluated on every state."""
+def test_step_at_the_underflow_cut_matches_exp_everywhere(batch):
+    """On both sides of the underflow cut, where exp gives +-0, the bits of
+    step, signed zeros included, must be those of the scalar reference."""
     picked = [st for st in boundary_states() if BATCHES[batch](st)]
-    calls = []
-    exponentials = core.exponentials
-    monkeypatch.setattr(core, "exponentials", lambda *a: calls.append(1) or exponentials(*a))
     z, w, d = (np.array(col, dtype=np.complex128) for col in zip(*picked))
     z1, w1, d1, ok = step(z, w, d)
-    # every state in R_inf takes the exp-free branch; the others call exp
-    assert bool(calls) == (batch != "far")
     for k, st in enumerate(picked):
         ref = cmath_step(*st)
         assert bool(ok[k]) == (ref is not None), st
@@ -241,6 +235,22 @@ def test_step_at_the_underflow_cut_matches_exp_everywhere(batch, monkeypatch):
             got = (complex(z1[k]), complex(w1[k]), complex(d1[k]))
             assert list(map(bits, got)) == list(map(bits, ref)), st
     assert ok.any() and not ok.all()
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_step_keeps_its_bits_under_a_raising_errstate(batch):
+    """exp underflows on states near and past the cut, as at (700, 40),
+    where e^{-740} is subnormal; step silences that, and the overflow and
+    invalid operations it tests for, even where its caller raises on
+    every floating-point error."""
+    picked = [st for st in boundary_states() if BATCHES[batch](st)]
+    picked.append((700 + 0j, 40 + 0j, -660 + 0j))
+    z, w, d = (np.array(col, dtype=np.complex128) for col in zip(*picked))
+    default = step(z, w, d)
+    with np.errstate(all="raise"):
+        raising = step(z, w, d)
+    for a, b in zip(raising, default, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_f_is_exact_in_the_exp_free_regime():

@@ -10,7 +10,7 @@ import pytest
 from bakerbench import core, domain
 from bakerbench.core import orbit, orbits
 from bakerbench.domain import growth, invariance, telescoping_residuals
-from bakerbench.suites import growth_suite, invariance_suite
+from bakerbench.suites import growth_suite, invariance_suite, telescoping_suite
 from scalar_reference import scalar_orbit
 
 
@@ -275,3 +275,15 @@ def test_suites_leave_their_chunks_in_r_inf(suite, monkeypatch):
     assert suite(10_000, 104, 30).passed
     assert 0 < len(calls) <= 40
     assert len(taken) <= 45
+
+
+@pytest.mark.parametrize("seed", [104, 20260823])
+def test_telescoping_tests_r_inf_until_it_holds(seed, monkeypatch):
+    """A chunk stays in R_inf once it lies there, so telescoping_residuals
+    tests R_inf on it only until the test holds: here on 8 of the 31
+    states of the one chunk, not on each of the 30 before step n."""
+    calls = []
+    all_in_r_inf = domain.all_in_r_inf
+    monkeypatch.setattr(domain, "all_in_r_inf", lambda *a: calls.append(1) or all_in_r_inf(*a))
+    assert telescoping_suite(1_000, seed, 30).passed
+    assert 0 < len(calls) <= 10

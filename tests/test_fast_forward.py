@@ -157,6 +157,15 @@ class TestCounter:
         assert r.stats["overflowed"] > 0
         assert len(calls) < 20
 
+    @pytest.mark.parametrize("name", SLICES)
+    def test_no_step_on_an_empty_active_set(self, name, monkeypatch):
+        # Where _certify settles every seed left, as on w = 0.2 and on the
+        # w-plane, the loop ends there instead of stepping no states.
+        sizes = []
+        monkeypatch.setattr(render, "step", lambda z, w, d: sizes.append(z.size) or step(z, w, d))
+        render_slice(SLICES[name], 200, workers=1)
+        assert sizes and min(sizes) > 0
+
 
 def certify(z, w, d, rem=REM, threshold=L_THRESHOLD):
     """_certify on one hand-built state (z, w) with carried margin d: the
