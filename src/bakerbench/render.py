@@ -312,7 +312,7 @@ def _classify(
             codes[idx[inside]] = _CODE_ENTERED
             steps[idx[inside]] = k
             idx, z, w, d = compact(~inside)
-        if k == budget:
+        if k == budget or not idx.size:
             break
         m = _certify(z, np.broadcast_to(w, z.shape), d, budget - k, threshold)
         if m is not None:
@@ -324,8 +324,8 @@ def _classify(
             entries += int(enter.sum())
             fast += int((m == -1).sum())
             idx, z, w, d = compact(m == 0)
-        if not idx.size:
-            break
+            if not idx.size:
+                break
         evals += idx.size
         z, w, d, ok = step(z, w, d)
         if not ok.all():
