@@ -24,14 +24,11 @@ part that is zero.  In w' and d' that part is a sum with the +0 of
 Im s = +-0, Im e^{-s} = -e^{-Re s} sin(Im s) is -+0, and the sum is +0
 again, as s + 0.0 gives.
 
-R_inf is forward invariant as computed, not only in real arithmetic:
-with Re w > W_CUT > 0, rounding is monotone, so Re z' = fl(Re z + Re w)
->= Re z, Re w' = fl(2 Re w + 1) >= Re w and Re(z' + w') =
-fl(Re z' + Re w') >= Re z' = fl(Re(z + w)) > S_CUT, for every image that
-is finite.  Along such orbits Re z, Re w and Re d = fl(Re d + 1) never
-decrease.  ``chunk_orbits`` therefore hands a chunk that lies wholly in
-R_inf, with finite margins, to ``_far_orbit``, which does not test the
-cuts again.
+R_inf lies in the far field R of domain.in_far_field, whose lemma shows
+that as computed Re z, Re w and Re d never decrease there, so R_inf is
+forward invariant as computed too.  ``chunk_orbits`` therefore hands a
+chunk wholly in R_inf, with finite margins, to ``_far_orbit``, which
+does not test the cuts again.
 """
 
 from __future__ import annotations

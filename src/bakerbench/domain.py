@@ -7,14 +7,12 @@ coordinates obey the linear growth bounds, and that the telescoping
 identity for w_n - z_n holds up to rounding.  Each check runs on arrays
 of seeds; in_L is a 1-element call of in_wedge.
 
-The checks iterate their seeds one chunk of core.chunks at a time
-(core.chunk_orbits).  ``invariance`` and ``growth`` leave a chunk at the
-first step after which every state left in it lies in R_inf (core) and
-their statistics provably cannot change any more: the results equal
-those of iterating every chunk to step n, bit for bit.  The proofs are
-in their docstrings.  ``telescoping_residuals`` needs the margin at step
-n and iterates every chunk to the end, but adds no exponential once the
-chunk lies in R_inf, where both are +-0.
+The checks iterate one chunk of core.chunks at a time (core.chunk_orbits).
+``invariance`` and ``growth`` leave a chunk once all of it lies in the far
+field R, where by the lemma of ``in_far_field`` their statistics can no
+longer change: the results have the bits of iterating it to step n.
+``telescoping_residuals`` iterates every chunk to step n, but adds no
+exponential once it lies in R_inf (core), where both are +-0.
 """
 
 from __future__ import annotations
@@ -38,18 +36,51 @@ from .core import (
 # L-membership threshold on Re w - Re z.
 L_THRESHOLD = 1.0
 
-# Guaranteed per-step increase of Re w - Re z anywhere in L:
-# 1 + Re e^{-2w} - Re e^{-(z+w)} >= 1 - e^{-2} - e^{-2}.
+# Least per-step rise of Re w - Re z in L: 1 - e^{-2} - e^{-2}.
 MARGIN_STEP = 1.0 - 2.0 * math.exp(-2.0)
 
-# The far field R = {Re w > FAR_FIELD, Re(z + w) > FAR_FIELD} is forward
-# invariant (Re w' >= 2 Re w + 1 - e^{-2 Re w}), and there the per-step
-# increase 1 + Re e^{-2w} - Re e^{-(z+w)} of Re w - Re z is at most
-# FAR_MARGIN_STEP = 1 + e^{-2 FAR_FIELD} + e^{-FAR_FIELD} and at least
-# FAR_MARGIN_STEP_MIN = 1 - e^{-2 FAR_FIELD} - e^{-FAR_FIELD}.
+# The far field R and the bounds of the rise of Re w - Re z there (in_far_field).
 FAR_FIELD = 10.0
 FAR_MARGIN_STEP = 1.0 + math.exp(-2.0 * FAR_FIELD) + math.exp(-FAR_FIELD)
 FAR_MARGIN_STEP_MIN = 1.0 - math.exp(-2.0 * FAR_FIELD) - math.exp(-FAR_FIELD)
+
+
+def in_far_field(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Where the finite states (z, w) lie in the far field R = {Re w > W,
+    Re(z + w) > W}, W = FAR_FIELD, with Re(z + w) rounded as core.step
+    rounds Re s, s = z + w.  Where no Re w exceeds W, the mask is returned
+    before Re(z + w) is formed.
+
+    The far-field lemma.  Let (z, w) lie in R, Re d be finite, and
+    (z', w', d') be the image of (z, w, d) under core.step, where finite.
+    With u = 2^-53, the real parts p of e^{-2w} and q of e^{-s} have |p| <
+    e^{-2W} and |q| < e^{-W} as computed: 2 Re w and Re s exceed 2W and W
+    by at least 2^-49, which lowers each exponential by more than 15u,
+    past the error of exp.  Rounding is monotone, so fl(y) >= x for a
+    float x and a real y >= x; where |x| >= 2^51, the floats next to x lie
+    1/4 or more away, so fl(v + t) >= x for a float v >= x and |t| < 1/8.
+    - Re w' = fl(fl(2 Re w + p) + 1) >= 2 Re w > 2W: the inner sum is at
+      least 2 Re w where that is 2^51 or more, else above 2 Re w - 1/2.
+    - Re z' = fl(Re s + q) > W - 1, as Re s = fl(Re z + Re w) > W, and
+      Re z' >= Re z: where |Re z| >= 2^51, Re s >= Re z; elsewhere the two
+      roundings and q cost less than 1/2 + 3u Re w + e^{-W} < Re w.  So
+      R maps into itself as computed, and Re z' and Re w' exceed 1.
+    - Re d' = fl(fl(fl(Re d + 1) + p) - q) >= Re d: where |Re d| >= 2^51,
+      fl(Re d + 1) >= Re d; elsewhere the first two roundings, p and q
+      cost less than 1.
+    - Re d' - Re d lies between FAR_MARGIN_STEP_MIN and FAR_MARGIN_STEP up
+      to 4u(|Re d| + 2): 1 + p - q lies between them up to their own
+      rounding, below 2u, and each of the three roundings of Re d' moves
+      it by at most u(|Re d| + 2).
+    In exact arithmetic the margin rises without bound, so every point of
+    R enters L.  render._certify, invariance and growth settle states in R
+    by this lemma.
+    """
+    far = w.real > FAR_FIELD
+    if far.any():
+        with np.errstate(over="ignore"):
+            far &= z.real + w.real > FAR_FIELD
+    return far
 
 
 def in_wedge(z: np.ndarray, w: np.ndarray, d: np.ndarray, alpha) -> np.ndarray:
@@ -75,13 +106,11 @@ def invariance(
     checked over its finite prefix.
 
     A chunk is left once every state left in it after step k, counted in
-    both statistics, lies in R_inf.  As computed there, Re z, Re w and
-    Re d never decrease (core module docstring), and rounding is
-    monotone, so fl(Re d_j - alpha) >= fl(Re d_k - alpha) for j > k: the
-    least margin stays.  A state in L_alpha at step k has Re d > alpha,
-    Re z > 1 and Re w > 1, and so has every later state of its orbit; a
-    state outside it has its first step recorded already.  A state that
-    overflows later only leaves the chunk.
+    both statistics, lies in R.  There Re d never decreases, and Re z and
+    Re w exceed 1 after one step (in_far_field), so fl(Re d_j - alpha) >=
+    fl(Re d_k - alpha) for j > k, and a state in L_alpha at step k stays
+    in it; a state outside it has its first step recorded already.  A
+    state that overflows later only leaves the chunk.
     """
     first = np.full(z.shape, -1)
     min_margin = np.full(z.shape, np.inf)
@@ -91,7 +120,7 @@ def invariance(
             min_margin[idx] = np.minimum(min_margin[idx], dk.real - a)
             outside = idx[~in_wedge(zk, wk, dk, a) & (first[idx] < 0)]
             first[outside] = k
-            if all_in_r_inf(zk, wk):
+            if in_far_field(zk, wk).all():
                 break
     return first, min_margin
 
@@ -100,9 +129,8 @@ def _growth_settled(
     z: np.ndarray, w: np.ndarray, z0: np.ndarray, w0: np.ndarray
 ) -> bool:
     """The guard of ``growth`` on states (z, w) with seeds (z0, w0):
-    |Re z| + |Re z0| + 2 |Re w0| <= 2^48 Re w everywhere.  The left side
-    is summed in place and scaled by 2^-48; where it overflows, the guard
-    fails.  Its rounding cannot matter (see growth)."""
+    |Re z| + |Re z0| + 2 |Re w0| <= 2^48 Re w everywhere, summed in place;
+    where the sum overflows, it fails.  Its rounding cannot matter."""
     with np.errstate(over="ignore"):
         size = np.abs(z.real)
         size += np.abs(z0.real)
@@ -120,32 +148,27 @@ def growth(
     k/2).
 
     A chunk is left after a step k >= 1 (at k = 0 no slack is taken yet)
-    once every state left in it lies in R_inf and satisfies the guard
+    once every state left in it lies in R and satisfies the guard
 
         |Re z_k| + |Re z_0| + 2 |Re w_0| <= E Re w_k,   E = 2^48,
 
     (``_growth_settled``).  Then neither slack of a state falls below its
-    value at step k.  Proof, with u = 2^-53 and x_j for Re x_j, where
-    w_j > 373 at every finite state j >= k:
+    value at step k.  Proof, with u = 2^-53 and x_j for Re x_j, by the
+    lemma of in_far_field: at every finite j >= k, w_j > W = 10, w_{j+1}
+    >= 2 w_j, z_{j+1} = fl(fl(z_j + w_j) + q_j), |q_j| < e^{-W}, and z_j
+    never decreases, so a_j = fl(z_j - z_0) and b_j = fl(w_j - 2 w_0) stay
+    or move up where they overflow (2 w_0 is finite where step 1 is).
+    - The guard holds at j + 1 if at j: |z_{j+1}| <= (1 + u)^2 (|z_j| +
+      w_j) + 2e^{-W}, so the left side at j + 1 is at most (1 + u)^2
+      (E + 1) w_j + 2e^{-W} <= 2E w_j <= E w_{j+1}.
+    - z: under the guard z_{j+1} - z_j >= w_j(1 - 3u(E + 1)) - 2e^{-W},
+      and a_j and a_{j+1} are off by at most u E w_j and 2u E w_j, so
+      a_{j+1} - a_j >= w_j(1 - 7uE) - 2e^{-W} > 1/2: a_{j+1} - (j + 1)/2
+      >= a_j - j/2, and monotone rounding keeps that order in the slack.
+    - w: b_j and b_{j+1} are off by at most u(E + 1) w_j and u(w_{j+1} +
+      E w_j), so b_{j+1} - b_j >= w_j(1 - 3u - 2uE) > 1/2, likewise.
 
-    - The guard holds at j + 1 if at j: |z_{j+1}| = |fl(z_j + w_j)| <=
-      (1 + u)(|z_j| + w_j) and w_{j+1} = fl(2 w_j + 1) >= 2 w_j, so the
-      left side at j + 1 is at most (1 + u)(E + 1) w_j <= 2E w_j <=
-      E w_{j+1}.
-    - z: let a_j = fl(z_j - z_0).  Under the guard z_{j+1} - z_j >=
-      w_j - u(E + 1) w_j, and a_j and a_{j+1} are off by at most u E w_j
-      and u(1 + u)(E + 1) w_j, so a_{j+1} - a_j >= w_j(1 - 3u(1 + u)
-      (E + 1)) > 1/2.  Hence a_{j+1} - (j + 1)/2 >= a_j - j/2, and
-      monotone rounding keeps that order in the slack.
-    - w: let b_j = fl(w_j - 2 w_0), where 2 w_0 is finite (a seed with
-      |Re w_0| > DBL_MAX / 2 overflows at its first step).  w_{j+1} >=
-      2 w_j, and b_j and b_{j+1} are off by at most u(E + 1) w_j and
-      u(w_{j+1} + E w_j), so b_{j+1} - b_j >= w_j(1 - 3u - 2uE) > 1/2,
-      and the slack keeps its order likewise.
-    - Where a_j or b_j overflows it is an infinity, which stays as it is
-      or moves up, since z_j and w_j never decrease.
-
-    Any E from 2 to 2^51 would do, so the rounding of the guard itself
+    Any E from 4 to 2^50 would do, so the rounding of the guard itself
     cannot matter.  Without the guard the slack is not final: from
     Re z_0 = 1e20, Re w_0 = 400, z_j = fl(1e20 + w_j) stays 1e20 while
     w_j < 8192, and the z slack falls by 1/2 a step.
@@ -158,7 +181,7 @@ def growth(
                 continue
             min_w[idx] = np.minimum(min_w[idx], wk.real - 2.0 * w.real[idx] - k / 2.0)
             min_z[idx] = np.minimum(min_z[idx], zk.real - z.real[idx] - k / 2.0)
-            if all_in_r_inf(zk, wk) and _growth_settled(zk, wk, z[idx], w[idx]):
+            if in_far_field(zk, wk).all() and _growth_settled(zk, wk, z[idx], w[idx]):
                 break
     return min_w, min_z
 

@@ -3,21 +3,16 @@
 Each pixel seeds an orbit and is classified by the first step at which it
 lands in the wedge L (approximating the absorbing basin as the union of
 preimages of L under a finite iteration budget), by overflow, or as
-undetermined within the budget.  The classifier iterates ``core.step``
-over a compacted active set and tests ``domain.in_wedge`` on the carried
-margin.  A seed leaves the active set early once the far-field
-certificate (``_certify``; ``_classify`` states the proof) settles the
-class that plain iteration gives it at the end of the budget, so codes
-and steps are those of plain iteration.  In R_inf, where a step is exact
-(w doubles, z gains w and the margin gains 1), the certificate gives in
-closed form the step at which a seed overflows, so one loop classifies
-every seed.  F is a skew product: the w-orbit does not read z.  Where
-every seed of a chunk has the same w, bit for bit, as on every slice that
-the CLI draws (``--w-fixed``), the classifier carries one w for them all
-and each step evaluates e^{-2w} once.  The slice is cut into chunks of
-interleaved whole rows, classified independently by a pool of workers
-into disjoint output rows, so grids and emitted bytes are identical for
-any worker count.
+undetermined within the budget.  The classifier (``_classify``) iterates
+``core.step`` over a compacted active set, with one w for a chunk whose
+seeds share it, and tests ``domain.in_wedge`` on the carried margin.  A
+seed leaves the active set early once the far-field certificate
+(``_certify``, on the lemma of ``domain.in_far_field``) settles the
+class that plain iteration gives it, overflow in R_inf included, so one
+loop gives the codes and steps of plain iteration.  The slice is cut
+into chunks of interleaved whole rows, classified independently by a
+pool of workers into disjoint output rows, so grids and emitted bytes
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PlanePoint, in_r_inf, step
-from .domain import (FAR_FIELD, FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD,
+from .domain import (FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD, in_far_field,
                      in_wedge)
 
 _CODE_NOT_ENTERED = 0
@@ -160,14 +155,11 @@ def _certify(
     L_threshold and finite for all rem steps, -2 - n where it overflows
     after n < rem steps, and 0 where none is certified.  None where no
     state is settled."""
-    far = w.real > FAR_FIELD
-    if not far.any():  # as on most steps: spare the bound's temporaries
+    far = in_far_field(z, w)
+    i = np.flatnonzero(far)
+    if not i.size:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        far &= z.real + w.real > FAR_FIELD
-        i = np.flatnonzero(far)
-        if not i.size:
-            return None
         z, w, d = z[i], w[i], d[i]
         dr = d.real
         rounding = 8 * _UNIT_ROUNDOFF * (np.abs(dr) + abs(threshold) + 2)
@@ -230,39 +222,29 @@ def _classify(
     Once the membership test of state k has removed the seeds in L, _certify
     settles a seed with rem = budget - k steps left when the far-field
     bound fixes its class:
-    - It lies in the far field R = {Re w > W, Re(z + w) > W}, W =
-      domain.FAR_FIELD, which F maps into itself, since Re w' >= 2 Re w +
-      1 - e^{-2W} and Re(z' + w') > Re(z + w) + 2 Re w.  Its real parts are
-      compared as the step computes them.
-    - Each step raises Re d by 1 + Re e^{-2w} - Re e^{-(z+w)}, which in R
-      lies between FAR_MARGIN_STEP_MIN = 1 - e^{-2W} - e^{-W} and
-      FAR_MARGIN_STEP = 1 + e^{-2W} + e^{-W}.  In R_inf = {Re(z + w) >
-      core.S_CUT, Re w > core.W_CUT}, which F maps into itself as computed,
-      both exponentials are +0 and the step raises Re d by exactly
-      fl(Re d + 1).  So with a rounding term r per step, the rise lies
-      between lo = 1 - r and hi = 1 + r where core.in_r_inf(z + w, w)
-      holds, and between lo = FAR_MARGIN_STEP_MIN - r and hi =
-      FAR_MARGIN_STEP + r elsewhere in R; Re d_{k+j} lies between Re d_k +
-      j lo and Re d_k + j hi.
-    - Rounding to nearest is monotone, so the computed margins stay between
-      the same bounds run in floating point.  The margin update rounds
-      three times per step, each time by at most u = 2^-53 times a
-      magnitude below |Re d_k| + |threshold| + 2 on a certified run; the
-      rounding term r = 8u(|Re d_k| + |threshold| + 2) covers these, the
-      error of exp and the rounding of the tests themselves.
+    - It lies in the far field R, where by the lemma of
+      domain.in_far_field, as computed, F maps R into itself, Re z and
+      Re w exceed 1 after one step, Re d never decreases and a step raises
+      it by between FAR_MARGIN_STEP_MIN and FAR_MARGIN_STEP up to
+      4u(|Re d| + 2), u = 2^-53.  In R_inf (core), where both exponentials
+      are +-0, the rise is exactly fl(Re d + 1) - Re d.
+    - On a certified run |Re d| stays at most |Re d_k| + |threshold|, so
+      r = 8u(|Re d_k| + |threshold| + 2) covers that rounding and that of
+      the tests.  The rise lies between lo = 1 - r and hi = 1 + r where
+      core.in_r_inf(z + w, w) holds, between lo = FAR_MARGIN_STEP_MIN - r
+      and hi = FAR_MARGIN_STEP + r elsewhere in R, and by monotone
+      rounding Re d_{k+j} between Re d_k + j lo and Re d_k + j hi.
     - not_entered: Re d_k + rem hi <= threshold, so Re d stays at or below
       the threshold for all rem steps and the seed never enters L.
     - entered at step k + m: m = max(1, floor((threshold - Re d_k)/hi) + 1)
       <= rem, the seed is not in L now, Re d_k + (m - 1) hi <= threshold
       unless m = 1, so it stays out of L for the m - 1 steps after, and
-      Re d_k + m lo > threshold, so Re d_{k+m} is above the threshold.
-      Rounding can lift the quotient to the next integer, which the
-      (m - 1) hi test catches.  Entry also needs Re z and Re w above 1,
-      which one step in R gives: Re z' >= Re s - e^{-Re s} > W - e^{-W} >
-      1, s = z + w, and Re w' > 2W.  Where the bounds disagree, at margins
-      whose distance to the threshold lies within m (hi - lo) of an
-      integer, the seed keeps iterating and is tested again after the next
-      step.
+      Re d_k + m lo > threshold, so state k + m, whose Re z and Re w
+      exceed 1, is in L.  Rounding can lift the quotient to the next
+      integer, which the (m - 1) hi test catches.  Where the bounds
+      disagree, at margins whose distance to the threshold lies within
+      m (hi - lo) of an integer, the seed keeps iterating and is tested
+      again after the next step.
     - The overflow guard, in which only w doubles: in R each part of w
       grows as |w'| <= 2|w| + 2, each part of z by at most |w| + 1 and each
       part of d by at most 2.  With Z the largest part of z and d and W

@@ -89,16 +89,15 @@ def telescoping_seeds(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return z[:samples], w[:samples]
 
 
-def telescoping_suite(samples: int, seed: int, steps: int,
-                      tol: float = TELESCOPING_TOL) -> SuiteResult:
-    """Seeds from telescoping_seeds; residual must stay below tol."""
+def telescoping_suite(samples: int, seed: int, steps: int) -> SuiteResult:
+    """Seeds from telescoping_seeds; residual must stay below TELESCOPING_TOL."""
     residuals = telescoping_residuals(*telescoping_seeds(samples, seed), steps)
-    violations = int(np.count_nonzero(residuals > tol))
+    violations = int(np.count_nonzero(residuals > TELESCOPING_TOL))
     return SuiteResult(
         suite="telescoping", samples=samples, steps=steps, seed=seed,
         violations=violations, worst=float(residuals.max(initial=0.0)),
         worst_label="max_residual", passed=violations == 0,
-        notes={"tolerance": tol},
+        notes={"tolerance": TELESCOPING_TOL},
     )
 
 

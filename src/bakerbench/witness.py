@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import EXP_MAX, OverflowSignal, PlanePoint, apply_f, safe_exp
+from .core import OverflowSignal, PlanePoint, apply_f, safe_exp
 
 TAU = 2.0 * math.pi
 
@@ -113,9 +113,10 @@ def _solve_branch(a: complex, k: int) -> complex | None:
         if done:
             break
     for _ in range(NEWTON_MAX_ITER):
-        if (-3 * zeta).real > EXP_MAX:
+        try:
+            e = safe_exp(-3 * zeta)
+        except OverflowSignal:
             return None
-        e = cmath.exp(-3 * zeta)
         g = e - a * zeta - 1
         gp = -3 * e - a
         if gp == 0:

@@ -57,7 +57,8 @@ def test_criterion_2_growth_bounds():
 
 
 def test_criterion_3_telescoping():
-    res = telescoping_suite(1_000, SEED, 30, tol=1e-9)
+    res = telescoping_suite(1_000, SEED, 30)
+    assert res.notes["tolerance"] == 1e-9
     ok = res.violations == 0
     assert report(
         "3 telescoping identity (10^3 seeds, n=30, rel residual <= 1e-9)",
