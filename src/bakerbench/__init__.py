@@ -1,7 +1,7 @@
 """bakerbench: numerical workbench for the transcendental skew-product
 F(z, w) = (e^{-(z+w)} + z + w, e^{-2w} + 2w + 1).
 
-Subpackages cover map evaluation and orbits (core), the invariant wedge
+Modules cover map evaluation and orbits (core), the invariant wedge
 and its verification (domain), essential-singularity witnesses (witness),
 plurisubharmonic diagnostics (psh), basin rendering (render), randomized
 verification suites (suites), and a CLI (cli).

@@ -116,6 +116,13 @@ def modulus(c: np.ndarray) -> np.ndarray:
     return np.hypot(c.real, c.imag)
 
 
+def margin(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w - z, the margins of the states (z, w); inf or nan, with no warning,
+    where it leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w - z
+
+
 def exponentials(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e^{-s}, e^{-2w}) elementwise, as np.exp computes them.  Each is a
     fresh array, computed in place from the negated exponent.  An
@@ -196,8 +203,7 @@ def chunk_orbits(
     1 even where its images z_1 and w_1 are finite.
     """
     zk, wk = z[idx], w[idx]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dk = wk - zk
+    dk = margin(zk, wk)
     yield 0, idx, zk, wk, dk
     for k in range(1, n + 1):
         if all_in_r_inf(zk, wk) and np.isfinite(dk).all():
@@ -262,9 +268,7 @@ def orbit(seed: PlanePoint, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def apply_f(p: PlanePoint) -> PlanePoint:
     """One application of F.  Raises OverflowSignal on any non-finite result."""
     z, w = p.arrays()
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = w - z
-    z1, w1, _, ok = step(z, w, d)
+    z1, w1, _, ok = step(z, w, margin(z, w))
     if not ok[0]:
         raise OverflowSignal("image of F is non-finite")
     return PlanePoint(complex(z1[0]), complex(w1[0]))

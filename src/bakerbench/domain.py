@@ -29,6 +29,7 @@ from .core import (
     chunk_orbits,
     chunks,
     exponentials,
+    margin,
     modulus,
     orbit,
 )
@@ -92,9 +93,7 @@ def in_wedge(z: np.ndarray, w: np.ndarray, d: np.ndarray, alpha) -> np.ndarray:
 def in_L(p: PlanePoint, threshold: float = L_THRESHOLD) -> bool:
     """Membership in L (threshold 1), or in the looser alpha > 0 variant."""
     z, w = p.arrays()
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = w - z
-    return bool(in_wedge(z, w, d, threshold)[0])
+    return bool(in_wedge(z, w, margin(z, w), threshold)[0])
 
 
 def invariance(
@@ -207,8 +206,7 @@ def telescoping_residuals(z: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     R_inf (core module docstring), so once the test holds it is not made
     again.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = w - z + n  # where it overflows, so does the orbit at step 1
+    rhs = margin(z, w) + n  # where it overflows, so does the orbit at step 1
     lhs = np.full(z.shape, np.nan + 0j)
     for chunk in chunks(z.size):
         far = False

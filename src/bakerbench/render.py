@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PlanePoint, in_r_inf, step
+from .core import PlanePoint, in_r_inf, margin, step
 from .domain import (FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD, in_far_field,
                      in_wedge)
 
@@ -75,8 +75,8 @@ class SliceSpec:
     height: int
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError("width and height must be >= 1")
+        if not all(1 <= n <= np.iinfo(np.intp).max for n in (self.width, self.height)):
+            raise ValueError(f"width and height must lie in 1..{np.iinfo(np.intp).max}")
         if self.dir_u.z == 0 and self.dir_u.w == 0:
             raise ValueError("dir_u must be nonzero")
         if self.dir_v.z == 0 and self.dir_v.w == 0:
@@ -159,6 +159,7 @@ def _certify(
     i = np.flatnonzero(far)
     if not i.size:
         return None
+    rem = min(rem, 1019)  # past 1,018 steps no state passes the guard (_classify)
     with np.errstate(over="ignore", invalid="ignore"):
         z, w, d = z[i], w[i], d[i]
         dr = d.real
@@ -173,17 +174,13 @@ def _certify(
         enter = ((dr + m * lo > threshold)
                  & ((m == 1) | (dr + (m - 1) * hi <= threshold)) & (m <= rem))
         # The overflow guard Z + 2^(n + 1)(W + 2) < 2^1023, for the steps n
-        # each class needs: rem to stay out, m to enter.  As m <= rem, only
-        # an entry that fails it for rem steps needs its own n.
+        # each class needs: m to enter, rem to stay out.
         big_z = np.abs(z.real)
         for x in (z.imag, dr, d.imag):
             np.maximum(big_z, np.abs(x), out=big_z)
         big_w = np.maximum(w.real, np.abs(w.imag))  # Re w > 0 in R
-        safe = big_z + (big_w + 2) * np.ldexp(1.0, rem + 1) < _OVERFLOW_CAP
-        late = enter & ~safe
-        if late.any():
-            n = m[late].astype(np.int64)
-            safe[late] = big_z[late] + np.ldexp(big_w[late] + 2, n + 1) < _OVERFLOW_CAP
+        n = np.where(enter, m, rem).astype(np.int64)
+        safe = big_z + np.ldexp(big_w + 2, n + 1) < _OVERFLOW_CAP
         settled = (out | enter) & safe
         outcome = np.where(enter, m, -1)
         if exact.any():
@@ -254,9 +251,9 @@ def _classify(
       factor 2, twice over, is slack for rounding.  In R_inf, fin below
       with n < j stands in for the guard.  As W + 2 > 12, no state of R
       passes the guard for more than 1,018 steps: with more steps left,
-      where 2^(rem + 1), formed by np.ldexp, may be +inf, no state is
-      certified to stay out, and only entries within the guard's steps
-      and overflows in R_inf are certified.
+      which _certify counts as 1,019, no state is certified to stay out,
+      and only entries within the guard's steps and overflows in R_inf
+      are certified.
     - overflowed at step k + j - 1, in R_inf, where a step is exactly
       (fl(z + w) + 0, fl(2w + 1), fl(d + 1)): with W = f 2^e, f in [1/2,
       1) as np.frexp gives it, and j = 1025 - e, Im w doubles exactly and
@@ -278,8 +275,7 @@ def _classify(
     codes = np.full(z.shape, _CODE_NOT_ENTERED, dtype=np.uint8)
     steps = np.full(z.shape, -1, dtype=np.int32)
     idx = np.arange(z.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = w - z
+    d = margin(z, w)
     shared = _same_bits(w)
     if shared:
         w = w[:1].copy()
@@ -427,12 +423,9 @@ class PaletteSpec:
         kwargs = {}
         if "not_entered" in data:
             kwargs["not_entered"] = triple(data["not_entered"])
-        if "entered_cycle" in data:
-            kwargs["entered_cycle"] = tuple(triple(x) for x in data["entered_cycle"])
-        if "overflowed_cycle" in data:
-            kwargs["overflowed_cycle"] = tuple(
-                triple(x) for x in data["overflowed_cycle"]
-            )
+        for key in ("entered_cycle", "overflowed_cycle"):
+            if key in data:
+                kwargs[key] = tuple(triple(x) for x in data[key])
         return cls(**kwargs)
 
 

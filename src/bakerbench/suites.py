@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import modulus, orbits
+from .core import margin, modulus, orbits
 from .domain import L_THRESHOLD, growth, in_wedge, invariance, telescoping_residuals
 from .psh import u_value
 
@@ -60,7 +60,7 @@ def invariance_suite(samples: int, seed: int, steps: int) -> SuiteResult:
 
 def growth_suite(samples: int, seed: int, steps: int) -> SuiteResult:
     z, w, _ = _sample_wedge_seeds(_rng(seed), samples)
-    proper = in_wedge(z, w, w - z, L_THRESHOLD)  # growth bounds are stated on L proper
+    proper = in_wedge(z, w, margin(z, w), L_THRESHOLD)  # growth bounds are stated on L proper
     min_w, min_z = growth(z[proper], w[proper], steps)
     violations = int(np.count_nonzero(~((min_w > 0) & (min_z > 0))))
     return SuiteResult(

@@ -142,11 +142,11 @@ def find_witnesses(
     """m points zeta with h(zeta) = c (residual below RESIDUAL_TOL) and
     strictly increasing modulus.
 
-    c = 3/4 is the exact family zeta_k = 2 pi i k / 3 (h = 3/4 iff
-    e^{-3 zeta} = 1, zeta != 0).  Otherwise roots are found branch by
-    branch starting at first_branch; branches that fail to converge are
-    skipped and reported, and further branches are scanned so that m
-    witnesses are still returned when possible.
+    Roots are tried branch by branch over branch_range; branches that
+    fail to converge are skipped and reported, and further branches are
+    scanned so that m witnesses are still returned when possible.  The
+    root of branch k is zeta_k = 2 pi i k / 3 for the exact family c = 3/4
+    (h = 3/4 iff e^{-3 zeta} = 1, zeta != 0), else _solve_branch's.
     """
     if m < 1:
         raise ValueError("witness count must be >= 1")
@@ -155,26 +155,21 @@ def find_witnesses(
     zetas: list[complex] = []
     residuals: list[float] = []
     failed: list[int] = []
-    if c == 0.75:
-        branches = list(branch_range(c, m))
-        zetas = [complex(0.0, TAU * k / 3.0) for k in branches]
-        residuals = [abs(h_eval(z) - c) for z in zetas]
-    else:
-        a = 4 * c - 3
-        for k in branch_range(c, m, first_branch):
-            zeta = _solve_branch(a, k)
-            try:
-                res = math.inf if zeta is None else abs(h_eval(zeta) - c)
-            except OverflowSignal:
-                res = math.inf
-            if res < RESIDUAL_TOL and (not zetas or abs(zeta) > abs(zetas[-1])):
-                branches.append(k)
-                zetas.append(zeta)
-                residuals.append(res)
-                if len(zetas) == m:
-                    break
-            else:
-                failed.append(k)
+    a = 4 * c - 3
+    for k in branch_range(c, m, first_branch):
+        zeta = complex(0.0, TAU * k / 3.0) if c == 0.75 else _solve_branch(a, k)
+        try:
+            res = math.inf if zeta is None else abs(h_eval(zeta) - c)
+        except OverflowSignal:
+            res = math.inf
+        if res < RESIDUAL_TOL and (not zetas or abs(zeta) > abs(zetas[-1])):
+            branches.append(k)
+            zetas.append(zeta)
+            residuals.append(res)
+            if len(zetas) == m:
+                break
+        else:
+            failed.append(k)
     if len(zetas) < m:
         raise SolverFailure(
             f"only {len(zetas)} of {m} branches converged for target {c}"

@@ -234,6 +234,7 @@ class TestRender:
                                       '{"not_entered": [12, 1, true]}',
                                       '{"not_entered": [12.0, 1, 5]}',
                                       '{"entered_cycle": ["abc"]}',
+                                      '{"overflowed_cycle": [[1, 2]]}',
                                       "[1, 2, 3]"])
     def test_palette_bad_value_or_root_is_usage_error(self, text, tmp_path, capsys):
         bad = tmp_path / "palette.json"
@@ -258,6 +259,26 @@ class TestRender:
         )
         assert code == 0
         assert out.read_bytes().endswith(b"\xff\x00\xff" * 4)
+
+    def test_custom_overflowed_cycle(self, monkeypatch, tmp_path, capsys):
+        rasters = []
+
+        def keep(*args, **kwargs):
+            rasters.append(render.render_slice(*args, **kwargs))
+            return rasters[-1]
+
+        monkeypatch.setattr(cli, "render_slice", keep)
+        pal = tmp_path / "palette.json"
+        pal.write_text(json.dumps({"overflowed_cycle": [[1, 2, 3], [4, 5, 6]]}))
+        out = tmp_path / "img.ppm"
+        code, _, _ = run_cli(
+            ["render", "--width", "4", "--height", "4", "--budget", "1100",
+             "--w-fixed", "400,0", "--xmin", "1000000", "--xmax", "1000001",
+             "--out", str(out), "--palette", str(pal)], capsys
+        )
+        assert code == 0 and rasters[0].stats["overflowed"] == 16
+        palette = render.PaletteSpec(overflowed_cycle=((1, 2, 3), (4, 5, 6)))
+        assert out.read_bytes() == render.write_ppm(rasters[0], palette)
 
 
 class TestOutputPaths:
@@ -327,14 +348,52 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+REJECTED = [
+    (["verify", "--suite", "growth", "--seed", "-1"], "--seed must be >= 0"),
+    (["psh", "--center-z", "2,0", "--center-w", "4,0",
+      "--dir-z", "0,0", "--dir-w", "0,0"], "direction must be nonzero"),
+    (["verify", "--suite", "growth", "--samples", "0"],
+     "--samples and --steps must be >= 1"),
+    (["verify", "--suite", "growth", "--steps", "0"],
+     "--samples and --steps must be >= 1"),
+    (["psh", "--center-z", "2,0", "--center-w", "4,0", "--n", "-1"],
+     "--n must be >= 0"),
+    (["iterate", "--z", "0,0", "--w", "0,0", "--steps", "-1"], "--steps must be >= 0"),
+    (["render", "--budget", "0"], "--budget must be >= 1"),
+    (["render", "--workers", "0"], "--workers must be >= 1"),
+    *((["render", flag, str(size)], f"width and height must lie in 1..{2**63 - 1}")
+      for flag in ("--width", "--height") for size in (0, 2**63, 2**64, 2**64 + 1, 10**400)),
+]
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("argv", [
-        ["verify", "--suite", "growth", "--seed", "-1"],
-        ["psh", "--center-z", "2,0", "--center-w", "4,0",
-         "--dir-z", "0,0", "--dir-w", "0,0"],
-    ])
-    def test_rejected_argument_is_usage_error(self, argv, capsys):
-        assert_usage_error(argv, capsys)
+    @pytest.mark.parametrize("argv, message", REJECTED,
+                             ids=[f"argv{i}" for i in range(len(REJECTED))])
+    def test_rejected_argument_is_usage_error(self, argv, message, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("w_fixed", ["400,0", "20,0"])
+    @pytest.mark.parametrize("budget", [2**63 - 1, 2**63, 10**20],
+                             ids=["2^63-1", "2^63", "10^20"])
+    def test_budget_past_int64_renders_as_budget_5000(self, budget, w_fixed,
+                                                      tmp_path, capsys):
+        # Every pixel overflows at step 1,015 (w = 400) or 1,019 (w = 20),
+        # so no budget past that changes the picture or the stats.
+        runs = []
+        for b in (5000, budget):
+            ppm = tmp_path / f"{b}.ppm"
+            code, out, err = run_cli(
+                ["render", "--budget", str(b), "--width", "4", "--height", "4",
+                 "--w-fixed", w_fixed, "--xmin", "1000000", "--xmax", "1000001",
+                 "--out", str(ppm)], capsys)
+            assert (code, err) == (0, "")
+            runs.append((out.splitlines()[1].split(" ", 1)[1], ppm.read_bytes()))
+        assert runs[0][0] == "entered=0 overflowed=16 not_entered=0"
+        assert runs[1] == runs[0]
 
     def test_non_finite_pixel_centre_is_usage_error(self, no_render, tmp_path,
                                                     monkeypatch, capsys):
@@ -479,6 +538,16 @@ class TestPsh:
         assert code == 4
         assert "only 14 of 64 circle points usable" in err
 
+    def test_centre_orbit_overflow_is_numeric_failure(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["psh", "--center-z=-800,0", "--center-w=0,0", "--n", "1",
+             "--out", str(tmp_path / "p.out")], capsys
+        )
+        assert (code, out) == (4, "")
+        assert err == ("numeric failure: no u_1 at the centre: its orbit "
+                       "overflows or |w_n| + |z_n| = 0\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_circle_past_double_range_warns_nothing(self, capsys):
         # lambda * dir_z overflows on most of the circle of radius 1e308
         with warnings.catch_warnings():
@@ -500,6 +569,7 @@ class TestPsh:
     ["witness", "--target", "nan,0", "--count", "2"],
     ["psh", "--center-z", "2,0", "--center-w", "4,0", "--radius", "nan"],
     ["iterate", "--z", "inf,0", "--w", "0,0", "--steps", "1"],
+    ["render", "--xmin", "abc"],
 ])
 def test_non_finite_number_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

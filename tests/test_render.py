@@ -106,6 +106,30 @@ class TestSliceSpec:
                       dir_v=PlanePoint(1j, 0j), u_range=u_range,
                       v_range=(-1.0, 1.0), width=4, height=2)
 
+    @pytest.mark.parametrize("size", [0, 2**63, 2**64, 2**64 + 1, 10**400],
+                             ids=["0", "2^63", "2^64", "2^64+1", "10^400"])
+    @pytest.mark.parametrize("axis", ["width", "height"])
+    def test_size_outside_numpy_index_range_rejected(self, axis, size):
+        sizes = {"width": 1, "height": 1, axis: size}
+        with pytest.raises(ValueError, match=r"width and height must lie in 1\.\."):
+            SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=PlanePoint(1 + 0j, 0j),
+                      dir_v=PlanePoint(1j, 0j), u_range=(-1.0, 1.0),
+                      v_range=(-1.0, 1.0), **sizes)
+
+    def test_largest_size_accepted(self):
+        spec = SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=PlanePoint(1 + 0j, 0j),
+                         dir_v=PlanePoint(1j, 0j), u_range=(-1.0, 1.0),
+                         v_range=(-1.0, 1.0), width=2**63 - 1, height=1)
+        assert spec.pixel_center(2**63 - 2, 0).z.real == 1.0
+
+    @pytest.mark.parametrize("name", ["dir_u", "dir_v"])
+    def test_zero_direction_rejected(self, name):
+        dirs = {"dir_u": PlanePoint(1 + 0j, 0j), "dir_v": PlanePoint(1j, 0j),
+                name: PlanePoint(-0.0 + 0j, 0j)}
+        with pytest.raises(ValueError, match=f"{name} must be nonzero"):
+            SliceSpec(base=PlanePoint(0j, 4 + 0j), u_range=(-1.0, 1.0),
+                      v_range=(-1.0, 1.0), width=2, height=2, **dirs)
+
     def test_wide_finite_slice_accepted(self):
         spec = SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=PlanePoint(1 + 0j, 0j),
                          dir_v=PlanePoint(1j, 0j), u_range=(-2e307, 2e307),
@@ -145,6 +169,29 @@ class TestSliceSpec:
 
 
 class TestRenderSlice:
+    @pytest.mark.parametrize("kwargs, name", [({"budget": 0}, "budget"),
+                                              ({"workers": 0}, "workers")])
+    def test_budget_and_workers_required(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            render_slice(wedge_slice(), **{"budget": 5, **kwargs})
+
+    @pytest.mark.parametrize("x", [1e6, 1e20])
+    @pytest.mark.parametrize("w", [400, 20])
+    @pytest.mark.parametrize("budget", [2**63 - 1, 2**63, 10**20, 10**400],
+                             ids=["2^63-1", "2^63", "10^20", "10^400"])
+    def test_budget_past_int64_classifies_as_budget_5000(self, budget, w, x):
+        # Every pixel overflows at step 1,015 (w = 400) or 1,019 (w = 20).
+        spec = SliceSpec(base=PlanePoint(0j, w + 0j), dir_u=PlanePoint(1 + 0j, 0j),
+                         dir_v=PlanePoint(1j, 0j), u_range=(x, x + 1),
+                         v_range=(-5.0, 5.0), width=4, height=4)
+        r, ref = render_slice(spec, budget), render_slice(spec, 5000)
+        assert (r.codes == ref.codes).all() and (r.steps == ref.steps).all()
+        assert ref.stats["overflowed"] == 16
+        assert ((r.fast_forwarded, r.certified_entries, r.map_evals)
+                == (ref.fast_forwarded, ref.certified_entries, ref.map_evals))
+        p = spec.pixel_center(1, 2)
+        assert classify_point(p, budget) == classify_point(p, 5000) == r.pixel(1, 2)
+
     def test_single_pixel(self):
         r = render_slice(single_pixel_spec(2 + 0j, 4 + 0j), 1)
         assert r.pixel(0, 0) == PixelClass("entered", 0)
