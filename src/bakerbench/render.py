@@ -12,7 +12,11 @@ class that plain iteration gives it, overflow in R_inf included, so one
 loop gives the codes and steps of plain iteration.  The slice is cut
 into chunks of interleaved whole rows, classified independently by a
 pool of workers into disjoint output rows, so grids and emitted bytes
-are identical for any worker count.
+are identical for any worker count.  Where row h - 1 - j of the slice
+holds the conjugate centres of row j (_own_mirror), as on every z-plane
+slice of a real w over a window symmetric about the real axis, only
+the rows j <= h - 1 - j are classified and their classes are copied
+into the mirror rows (render_slice has the proof).
 """
 
 from __future__ import annotations
@@ -121,13 +125,26 @@ def _centres(spec: SliceSpec, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray,
     return z.astype(np.complex128), w.astype(np.complex128)
 
 
-def _row_chunks(spec: SliceSpec) -> list[np.ndarray]:
-    """Rows of the chunks of the slice.  Chunk c of n takes every n-th row
-    from row c, so each chunk samples the whole slice and the chunks take
-    about the same time; contiguous bands of rows can differ in cost by 2x
-    and leave one worker classifying alone at the end."""
-    n = -(-spec.height // max(1, CHUNK_PIXELS // spec.width))
-    return [np.arange(c, spec.height, n) for c in range(n)]
+def _row_chunks(height: int, width: int) -> list[np.ndarray]:
+    """Rows of the chunks of the rows 0..height - 1 of a slice of the given
+    width.  Chunk c of n takes every n-th row from row c, so each chunk
+    samples the whole slice and the chunks take about the same time;
+    contiguous bands of rows can differ in cost by 2x and leave one worker
+    classifying alone at the end."""
+    n = -(-height // max(1, CHUNK_PIXELS // width))
+    return [np.arange(c, height, n) for c in range(n)]
+
+
+def _own_mirror(spec: SliceSpec) -> bool:
+    """Whether row h - 1 - j of the slice holds the conjugates of the
+    centres of row j, for every row j, up to the signs of zero parts:
+    where the v axis is antisymmetric under ==, base and dir_u have zero
+    imaginary parts and dir_v zero real parts (render_slice).  Decided on
+    the axis and the parts, never on the pixel grid."""
+    v = _axis(spec.v_range, spec.height, np.arange(spec.height))
+    return (all(p.imag == 0 for p in (spec.base.z, spec.base.w, spec.dir_u.z, spec.dir_u.w))
+            and all(p.real == 0 for p in (spec.dir_v.z, spec.dir_v.w))
+            and bool((v == -v[::-1]).all()))
 
 
 def _pixel_grid(spec: SliceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,24 +380,63 @@ def render_slice(
     threshold: float = L_THRESHOLD,
     workers: int = 1,
 ) -> RasterResult:
+    """The classes of the pixels of the slice within the budget.
+
+    Where the slice is its own mirror (_own_mirror), only the rows j <=
+    h - 1 - j are classified, in chunks of their own, and their codes and
+    steps are copied into the rows h - 1 - j.  Pixel (i, h - 1 - j) has
+    the class of pixel (i, j):
+    - _centres forms z = base.z + u dir_u.z + v dir_v.z, and w alike, in
+      complex arithmetic on u + 0j and v + 0j.  With Im base = Im dir_u =
+      Re dir_v = 0, the real part is Re base + u Re dir_u and the
+      imaginary part v Im dir_v, each up to terms that are zero.  The
+      first is the same in both rows; the second changes sign with v
+      exactly, as a product rounds symmetrically in sign.  So the centres
+      of the two pixels are conjugate up to the signs of zero parts.
+    - core.step forms F and the margin with +, - and 2*, which round to
+      nearest, symmetrically in sign, and with np.exp, which is
+      conjugation-equivariant bit for bit (tests/test_mirror.py pins it on
+      extreme states).  So it maps conjugate states to conjugate images,
+      with the same ok.
+    - A sign of zero can differ only in a zero part: none of these
+      operations gives a nonzero part that depends on it, as e^{x +- 0i}
+      = e^x +- 0i (the argument of core's docstring for _far_orbit).
+    - in_wedge, in_far_field and _certify read only real parts, moduli
+      and finiteness, which conjugation and the signs of zeros leave as
+      they are.  _same_bits may share w in the half and not in the
+      whole slice, but a shared w classifies as one w per seed.
+    So the two pixels also add the same to each counter: a classified row
+    counts twice where it fills its mirror row, and a middle row, which
+    is its own mirror, once, in a chunk of its own.  The counters are
+    those of classifying every row.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    codes = np.empty((spec.height, spec.width), dtype=np.uint8)
-    steps = np.empty((spec.height, spec.width), dtype=np.int32)
+    h = spec.height
+    codes = np.empty((h, spec.width), dtype=np.uint8)
+    steps = np.empty((h, spec.width), dtype=np.int32)
+    # Each job is the rows it classifies, then the rows it mirrors into.
+    if _own_mirror(spec):
+        jobs = [(rows, h - 1 - rows) for rows in _row_chunks(h // 2, spec.width)]
+        jobs += [(np.array([h // 2]),)] * (h % 2)
+    else:
+        jobs = [(rows,) for rows in _row_chunks(h, spec.width)]
 
-    def run(rows: np.ndarray) -> list[int]:
+    def run(job: tuple[np.ndarray, ...]) -> list[int]:
+        rows = job[0]
         # The seeds are handed over with no reference kept here, so that
         # the pixel grid is freed once _classify has moved past it.
         seeds = [x.ravel() for x in _pixel_grid(spec, rows)]
         c, s, *counts = _classify(seeds.pop(0), seeds.pop(), budget, threshold)
-        codes[rows] = c.reshape(rows.size, spec.width)
-        steps[rows] = s.reshape(rows.size, spec.width)
-        return counts
+        for out in job:
+            codes[out] = c.reshape(rows.size, spec.width)
+            steps[out] = s.reshape(rows.size, spec.width)
+        return [len(job) * n for n in counts]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        fast, entries, evals = map(sum, zip(*pool.map(run, _row_chunks(spec))))
+        fast, entries, evals = map(sum, zip(*pool.map(run, jobs)))
     return RasterResult(spec=spec, budget=budget, threshold=threshold,
                         codes=codes, steps=steps, fast_forwarded=fast,
                         certified_entries=entries, map_evals=evals)

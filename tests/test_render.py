@@ -496,6 +496,23 @@ class TestCsv:
         assert digest.hexdigest() == \
             "0730fbc7abd9429703bd177dac2f42af4ab453151d32f245cbf11adb7ad8d4d6"
 
+    # sha256 of codes || steps and of the PPM at 512^2 x 200 over (-5, 5)^2,
+    # the slices of bench/ (render classifies half of each and mirrors it)
+    @pytest.mark.parametrize("name, grids, ppm", [
+        ("default", "0de3a7532a2a17379c86cd0b23a047d7ea6b9db0b9240d30239b675fd19b1744",
+         "0550030131cc9d6bda06730b3f772f586f5613906f69034b125dd19d03ce4886"),
+        ("w=0.2", "aedacfc80eeee2dd5a590a3cae95beb8cd625b89bede1b77f85995164c7e8231",
+         "6e1555bc11b4ec6cdebddf9f974c90e0f9b28e939530250250418e0bd47960d6"),
+        ("w-plane", "7422e47cb64038f014ed5c4141911dd90760d256d0e39323a7ef88914696f298",
+         "e30451532d813337bf75add90054ef88850704919d61f6e607682a7f594780a5"),
+    ])
+    def test_full_size_benchmark_renders_are_pinned(self, name, grids, ppm):
+        spec = SliceSpec(*CSV_SLICES[name], u_range=(-5.0, 5.0),
+                         v_range=(-5.0, 5.0), width=512, height=512)
+        r = render_slice(spec, 200, workers=2)
+        assert hashlib.sha256(r.codes.tobytes() + r.steps.tobytes()).hexdigest() == grids
+        assert hashlib.sha256(write_ppm(r, PaletteSpec())).hexdigest() == ppm
+
     def test_signed_zero_rows_keep_their_reprs(self, lookup_blocks):
         # Im z sums -0.0, the u term's -0.0 (u > 0) and the v term's: -0.0
         # where v > 0, 0.0 where v < 0.  As 0.0 == -0.0, only a bitwise
