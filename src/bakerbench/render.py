@@ -13,10 +13,11 @@ loop gives the codes and steps of plain iteration.  The slice is cut
 into chunks of interleaved whole rows, classified independently by a
 pool of workers into disjoint output rows, so grids and emitted bytes
 are identical for any worker count.  Where row h - 1 - j of the slice
-holds the conjugate centres of row j (_own_mirror), as on every z-plane
-slice of a real w over a window symmetric about the real axis, only
-the rows j <= h - 1 - j are classified and their classes are copied
-into the mirror rows (render_slice has the proof).
+holds the conjugate centres of row j (_own_mirror), only the rows j <=
+h - 1 - j are classified and their classes are copied into the mirror
+rows (render_slice has the proof).  That needs a v axis antisymmetric
+bit for bit, which holds at some heights only: on a z-plane slice of a
+real w over (-5, 5), at 256, 512 or 1,024 rows, not at 500 or 1,000.
 """
 
 from __future__ import annotations
@@ -512,71 +513,61 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
 
 
 def _lookup(keys: np.ndarray, fmt) -> list:
-    """The string of each key of keys, as nested lists of keys' shape.
-    fmt maps the sorted distinct keys to their strings, so each is
+    """The bytes of each key of keys, as nested lists of keys' shape.
+    fmt maps the sorted distinct keys to their bytes, so each is
     formatted once."""
     distinct, inverse = np.unique(keys, return_inverse=True)
     return np.array(fmt(distinct), dtype=object)[inverse.reshape(keys.shape)].tolist()
 
 
-def _float_field(bits: np.ndarray) -> list[str]:
+def _float_field(bits: np.ndarray) -> list[bytes]:
     # Keyed by bit pattern, so -0.0 and 0.0 keep their own reprs.
-    return [f"{v!r}," for v in bits.view(np.float64).tolist()]
+    return [b"%r," % v for v in bits.view(np.float64).tolist()]
 
 
-def _class_field(keys: np.ndarray) -> list[str]:
+def _class_field(keys: np.ndarray) -> list[bytes]:
     # key = 4 * step + code (codes are below 4), step -1 where none applies.
-    return [f"{_CODE_TO_TAG[k % 4]},{'' if k % 4 == _CODE_NOT_ENTERED else k // 4}\n"
+    return [f"{_CODE_TO_TAG[k % 4]},{'' if k % 4 == _CODE_NOT_ENTERED else k // 4}\n".encode()
             for k in keys.tolist()]
 
 
-def _class_bytes(keys: np.ndarray) -> list[bytes]:
-    return [s.encode("ascii") for s in _class_field(keys)]
-
-
-def _separable_block(rows: np.ndarray, bits: list[np.ndarray], keys: np.ndarray,
-                     columns: list[str]) -> bytes | None:
-    """The lines of a block whose float fields (bit patterns, (rows, width)
-    arrays) each depend on the column only or on the row only; None where
-    one depends on both.  Each distinct value of an axis is formatted
-    once.  The column-only fields go into one row template as literals,
-    and each row fills in j and its row-only fields, then its (tag, step)
-    strings with %."""
+def _block(rows: np.ndarray, bits: list[np.ndarray], keys: np.ndarray,
+           columns: list[bytes]) -> bytes:
+    """The lines of a block, its float fields given as bit patterns in
+    (rows, width) arrays.  Each distinct value of a field is formatted
+    once.  The float fields before the first that depends on both the
+    column and the row, compared bitwise, go into one row template: as
+    literals where they depend on the column only, as markers where on
+    the row only.  That field, the fields after it and (tag, step) form
+    the tail, joined per pixel (on a slice along the coordinate axes,
+    only (tag, step)).  Each row fills in j and its row-only fields, then
+    its tail with one %."""
     width = len(columns)
     # Marker m of the template stands for the row's string m: j, then the
     # row-only fields.  No repr of a float holds a control character or %.
-    literals = [columns, ["\0"] * width]
-    row_strings = [[f"{j}," for j in rows.tolist()]]
-    for b in bits:
+    literals = [columns, [b"\0"] * width]
+    row_strings = [[b"%d," % j for j in rows.tolist()]]
+    tail = _lookup(keys, _class_field)
+    for k, b in enumerate(bits):
         if (b == b[:1]).all():
             literals.append(_lookup(b[0], _float_field))
         elif (b == b[:, :1]).all():
-            literals.append([chr(len(row_strings))] * width)
+            literals.append([bytes([len(row_strings)])] * width)
             row_strings.append(_lookup(b[:, 0], _float_field))
         else:
-            return None
-    literals.append(["%s"] * width)
-    template = "".join(map("".join, zip(*literals))).encode("ascii")
-    subs = [(bytes([m]), [s.encode("ascii") for s in strings])
-            for m, strings in enumerate(row_strings)]
+            fields = [_lookup(x, _float_field) for x in bits[k:]] + [tail]
+            tail = [list(map(b"".join, zip(*row))) for row in zip(*fields)]
+            break
+    literals.append([b"%s"] * width)
+    template = b"".join(map(b"".join, zip(*literals)))
+    subs = [(bytes([m]), strings) for m, strings in enumerate(row_strings)]
     lines = []
-    for n, classes in enumerate(_lookup(keys, _class_bytes)):
+    for n, cells in enumerate(tail):
         line = template
         for mark, strings in subs:
             line = line.replace(mark, strings[n])
-        lines.append(line % tuple(classes))
+        lines.append(line % tuple(cells))
     return b"".join(lines)
-
-
-def _lookup_block(rows: np.ndarray, bits: list[np.ndarray], keys: np.ndarray,
-                  columns: list[str]) -> bytes:
-    """The lines of any block, joined from its seven fields per pixel, each
-    looked up in a table of the block's distinct values."""
-    fields = [columns * rows.size,
-              [f for j in rows.tolist() for f in [f"{j},"] * len(columns)]]
-    fields += [_lookup(b.ravel(), _float_field) for b in bits]
-    fields.append(_lookup(keys.ravel(), _class_field))
-    return "".join(map("".join, zip(*fields))).encode("ascii")
 
 
 def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
@@ -586,21 +577,16 @@ def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
     bytes: the header line, then the lines of each block of about
     CHUNK_PIXELS pixels of whole rows.  Each distinct float bit pattern is
     formatted with repr once per block, and each distinct (tag, step) pair
-    once.  Where each float field of a block depends on the column only
-    or on the row only, compared bitwise, as on every slice along the
-    coordinate axes, the block is written from per-axis tables and one row
-    template filled in once per row (_separable_block).  Otherwise its
-    lines are joined from per-block tables of each field (_lookup_block).
+    once.  Each block is written by _block, from one row template.
     Writing the blocks to a file as they come never holds the whole
     dump."""
     yield b"i,j,re_z,im_z,re_w,im_w,tag,step\n"
     width = r.spec.width
-    columns = [f"{i}," for i in range(width)]
+    columns = [b"%d," % i for i in range(width)]
     block = max(1, CHUNK_PIXELS // width)
     for lo in range(0, r.spec.height, block):
         rows = np.arange(lo, min(lo + block, r.spec.height))
         z, w = _pixel_grid(r.spec, rows)
         bits = [x.view(np.uint64) for x in (z.real, z.imag, w.real, w.imag)]
         keys = 4 * r.steps[rows].astype(np.int64) + r.codes[rows]
-        data = _separable_block(rows, bits, keys, columns)
-        yield _lookup_block(rows, bits, keys, columns) if data is None else data
+        yield _block(rows, bits, keys, columns)

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import sys
@@ -453,39 +454,51 @@ CSV_SLICES = {
     "w-plane": (PlanePoint(0j, 0j), PlanePoint(0j, 1 + 0j), PlanePoint(0j, 1j)),
     "oblique": (PlanePoint(0.3 - 0.2j, 1.5 + 0.7j), PlanePoint(0.6 + 0.8j, -0.25 + 0.5j),
                 PlanePoint(-0.3 + 1.1j, 0.9 - 0.4j)),
+    "re-w-tail": (PlanePoint(0j, 4 + 0j), PlanePoint(1 + 0j, 0.3 + 0.1j),
+                  PlanePoint(1j, 0.2 + 0.5j)),
+    "im-w-tail": (PlanePoint(0j, 4 + 0j), PlanePoint(1 + 0j, 0.1j), PlanePoint(1j, 0.3j)),
+    # z rotated by 0.3: both parts of z depend on both axes, and the
+    # constant w fields after them go into the tail too.
+    "rotated": (PlanePoint(0j, 4 + 0j), PlanePoint(cmath.exp(0.3j), 0j),
+                PlanePoint(1j * cmath.exp(0.3j), 0j)),
 }
-# Slices whose float fields each depend on one axis only, written from a
-# row template; the others take _lookup_block.
-SEPARABLE = {"default", "w=0.2", "w-plane"}
+# The first float field (re_z, im_z, re_w, im_w) that depends on both the
+# column and the row, where the tail of the row template starts; on the
+# other slices each float field depends on one axis at most.
+TAIL_START = {"oblique": 0, "re-w-tail": 2, "im-w-tail": 3, "rotated": 0}
+# The slices with overflowed pixels at 48 x 32 x 200.
+OVERFLOWING = {"w=0.2", "w-plane", "oblique", "re-w-tail"}
 
 
 @pytest.fixture
-def lookup_blocks(monkeypatch):
-    """The calls of render._lookup_block, one per block it writes."""
+def pixel_fields(monkeypatch):
+    """The float fields that render formats per pixel, one per call of
+    render._lookup on a (rows, width) array of bit patterns."""
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return lookup_block(*args)
+    def spy(keys, fmt):
+        if keys.ndim == 2 and keys.dtype == np.uint64:
+            calls.append(keys)
+        return lookup(keys, fmt)
 
-    lookup_block = render._lookup_block
-    monkeypatch.setattr(render, "_lookup_block", spy)
+    lookup = render._lookup
+    monkeypatch.setattr(render, "_lookup", spy)
     return calls
 
 
 class TestCsv:
     @pytest.mark.parametrize("name", CSV_SLICES)
-    def test_matches_reference_writer(self, name, monkeypatch, lookup_blocks):
+    def test_matches_reference_writer(self, name, monkeypatch, pixel_fields):
         # blocks of 5 rows, the last of 2; budget 200 puts overflows at
         # steps whose (code, step) pairs outrun a uint8
         monkeypatch.setattr(render, "CHUNK_PIXELS", 5 * 48 + 7)
         spec = SliceSpec(*CSV_SLICES[name], u_range=(-5.0, 5.0),
                          v_range=(-5.0, 5.0), width=48, height=32)
         r = render_slice(spec, 200)
-        assert (r.stats["overflowed"] > 0) == (name != "default")
+        assert (r.stats["overflowed"] > 0) == (name in OVERFLOWING)
         blocks = list(grid_csv_blocks(r))
         assert len(blocks) == 1 + 7
-        assert len(lookup_blocks) == (0 if name in SEPARABLE else 7)
+        assert len(pixel_fields) == 7 * (4 - TAIL_START.get(name, 4))
         assert b"".join(blocks) == reference_grid_csv(r)
 
     def test_full_size_default_dump_is_pinned(self):
@@ -495,6 +508,20 @@ class TestCsv:
         digest = hashlib.sha256(b"".join(grid_csv_blocks(render_slice(spec, 200))))
         assert digest.hexdigest() == \
             "0730fbc7abd9429703bd177dac2f42af4ab453151d32f245cbf11adb7ad8d4d6"
+
+    # sha256 of the dump at 512^2 x 200 over (-5, 5)^2
+    @pytest.mark.parametrize("name, dump", [
+        ("w=0.2", "dda7b3aea6f3b5b6e54e7d763cf6ced774234f5ad96fe8c244ed473291bd1c82"),
+        ("w-plane", "f26f278d2dc36004d277f87e180bcaeaae0bec071711664eaec79768629dd80f"),
+        ("oblique", "70d89f14225a455e8d8e4b0d18ed5aee1121a7c653684cb69b542648866ebbfc"),
+        ("re-w-tail", "34aaeb0fbb2e8c964f6baa70681091200b9e33cdac020460c5f42c2511d2a421"),
+        ("im-w-tail", "d48f872c982b2ea6b6e47fc4f9e8b1f73e5f67b57e8a270686ee50f2d771d841"),
+    ])
+    def test_full_size_dumps_are_pinned(self, name, dump):
+        spec = SliceSpec(*CSV_SLICES[name], u_range=(-5.0, 5.0),
+                         v_range=(-5.0, 5.0), width=512, height=512)
+        r = render_slice(spec, 200, workers=2)
+        assert hashlib.sha256(b"".join(grid_csv_blocks(r))).hexdigest() == dump
 
     # sha256 of codes || steps and of the PPM at 512^2 x 200 over (-5, 5)^2,
     # the slices of bench/ (render classifies half of each and mirrors it)
@@ -513,7 +540,7 @@ class TestCsv:
         assert hashlib.sha256(r.codes.tobytes() + r.steps.tobytes()).hexdigest() == grids
         assert hashlib.sha256(write_ppm(r, PaletteSpec())).hexdigest() == ppm
 
-    def test_signed_zero_rows_keep_their_reprs(self, lookup_blocks):
+    def test_signed_zero_rows_keep_their_reprs(self, pixel_fields):
         # Im z sums -0.0, the u term's -0.0 (u > 0) and the v term's: -0.0
         # where v > 0, 0.0 where v < 0.  As 0.0 == -0.0, only a bitwise
         # test sees that Im z depends on the row.
@@ -526,7 +553,7 @@ class TestCsv:
         )
         r = render_slice(spec, 10)
         lines = b"".join(grid_csv_blocks(r)).decode().splitlines()
-        assert lookup_blocks == []
+        assert pixel_fields == []
         rows = [line.split(",") for line in lines[1:]]
         assert [f[3] for f in rows[::4]] == ["0.0", "0.0", "-0.0", "-0.0"]
         for f in rows:

@@ -8,6 +8,7 @@ import pytest
 from bakerbench.witness import (
     SERIES_CUTOFF,
     SolverFailure,
+    _solve_branch,
     branch_range,
     find_witnesses,
     first_coord_identity_residual,
@@ -143,6 +144,35 @@ class TestFindWitnesses:
         span = branch_range(target, m, first)
         assert set(seq.branches + seq.failed_branches) <= set(span)
         assert seq.branches[0] == span[0] or seq.failed_branches[0] == span[0]
+
+
+class TestSolverFailureExits:
+    """Inputs on which _solve_branch gives up, each at its own guard.
+    Without the guard the call raises, or returns a root that is not
+    finite."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_logarithm_of_zero(self, k):
+        # a = -1/zeta_0 puts a zeta + 1 = 0 at the start zeta_0 of branch k
+        a = -1 / complex(0, -TAU * k / 3)
+        assert _solve_branch(a, k) is None
+        assert find_witnesses((a + 3) / 4, 1, first_branch=k).failed_branches == (k,)
+
+    def test_fixed_point_leaves_double_range(self):
+        # a zeta_0 overflows, so Log(a zeta_0 + 1) has an infinite real part
+        assert _solve_branch(1e308 + 0j, 3) is None
+
+    def test_newton_exponential_overflows(self):
+        a = complex(-1.2782097973924834e305, 3.592678685396336e305)
+        assert _solve_branch(a, -4) is None
+        with pytest.raises(SolverFailure):
+            find_witnesses((a + 3) / 4, 1, first_branch=-4)
+
+    def test_newton_at_a_double_root(self):
+        # c = 0, a = -3: zeta = 0 is a double root of e^{-3 zeta} + 3 zeta - 1,
+        # branch 0 starts on it and g'(0) = 0
+        assert _solve_branch(-3 + 0j, 0) is None
+        assert find_witnesses(0j, 1, first_branch=0).failed_branches == (0,)
 
 
 class TestImageDirection:
