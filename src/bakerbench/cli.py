@@ -28,16 +28,12 @@ from typing import Any
 
 from . import __version__
 from .core import OverflowSignal, PlanePoint, orbit
+from .domain import L_THRESHOLD
 from .psh import InsufficientSamples, ProbeSpec, submean_check, u_value
-from .render import (
-    PaletteSpec,
-    SliceSpec,
-    grid_csv_blocks,
-    render_slice,
-    write_ppm,
-)
+from .render import PaletteSpec, SliceSpec, grid_csv_blocks, render_slice, write_ppm
 from .suites import GENERATOR_NAME, SUITES
-from .witness import SolverFailure, branch_range, find_witnesses, image_direction
+from .witness import (DEFAULT_FIRST_BRANCH, SolverFailure, branch_range, find_witnesses,
+                      image_direction)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,7 +67,8 @@ def parse_complex(text: str) -> complex:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
-    """The parser, and for each subcommand the flag of each option by
+    """The parser, whose subcommands set args.handler to their cmd_
+    function, and for each subcommand the flag of each option by
     destination."""
     ap = argparse.ArgumentParser(
         prog="bakerbench",
@@ -82,8 +79,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
     sub = ap.add_subparsers(dest="command", required=True)
     options: dict[str, dict[str, str]] = {}
 
-    def command(name: str, help: str):
+    def command(name: str, help: str, handler):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         flags = options[name] = {}
 
         def add(flag: str, **kwargs) -> None:
@@ -94,23 +92,23 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
         add("--format", choices=["text", "tree"], default="text")
         return add
 
-    add = command("iterate", "tabulate an orbit")
+    add = command("iterate", "tabulate an orbit", cmd_iterate)
     add("--z", type=parse_complex, required=True, metavar="RE,IM")
     add("--w", type=parse_complex, required=True, metavar="RE,IM")
     add("--steps", type=int, required=True)
 
-    add = command("verify", "run a randomized verification suite")
+    add = command("verify", "run a randomized verification suite", cmd_verify)
     add("--suite", choices=sorted(SUITES), required=True)
     add("--samples", type=int, default=1000)
     add("--seed", type=int, default=0)
     add("--steps", type=int, default=30)
 
-    add = command("witness", "find witness points for h(zeta) = c")
+    add = command("witness", "find witness points for h(zeta) = c", cmd_witness)
     add("--target", type=parse_complex, required=True, metavar="RE,IM")
     add("--count", type=int, required=True)
-    add("--first-branch", type=int, default=3)
+    add("--first-branch", type=int, default=DEFAULT_FIRST_BRANCH)
 
-    add = command("render", "render a basin slice to PPM/CSV")
+    add = command("render", "render a basin slice to PPM/CSV", cmd_render)
     add("--w-fixed", type=parse_complex, default=complex(4, 0), metavar="RE,IM")
     add("--xmin", type=finite_float, default=-5.0)
     add("--xmax", type=finite_float, default=5.0)
@@ -120,11 +118,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
     add("--height", type=int, default=512)
     add("--budget", type=int, default=200)
     add("--workers", type=int, default=1)
-    add("--alpha-threshold", type=finite_float, default=1.0)
+    add("--alpha-threshold", type=finite_float, default=L_THRESHOLD)
     add("--palette", type=Path, help="JSON palette file")
     add("--csv-out", type=Path, help="also dump the grid as CSV")
 
-    add = command("psh", "sub-mean-value probe of u_n on a line")
+    add = command("psh", "sub-mean-value probe of u_n on a line", cmd_psh)
     add("--center-z", type=parse_complex, required=True, metavar="RE,IM")
     add("--center-w", type=parse_complex, required=True, metavar="RE,IM")
     add("--dir-z", type=parse_complex, default=complex(1, 0), metavar="RE,IM")
@@ -207,7 +205,7 @@ def kv_line(record: dict[str, Any]) -> str:
 
 def _header(args: argparse.Namespace, **extra) -> dict:
     cfg = {"command": args.command}
-    skip = {"command", "config"}
+    skip = {"command", "config", "handler"}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:
             continue
@@ -376,15 +374,6 @@ def cmd_psh(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "iterate": cmd_iterate,
-    "verify": cmd_verify,
-    "witness": cmd_witness,
-    "render": cmd_render,
-    "psh": cmd_psh,
-}
-
-
 _PARSER, _FLAGS = build_parser()
 # Finds the subcommand and --config, whose entries become flags of it.
 _PRE = argparse.ArgumentParser(prog="bakerbench", add_help=False)
@@ -410,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
         _check_output(args.out)
         _check_output(getattr(args, "csv_out", None))
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

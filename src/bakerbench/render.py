@@ -10,13 +10,14 @@ seed leaves the active set early once the far-field certificate
 (``_certify``, on the lemma of ``domain.in_far_field``) settles the
 class that plain iteration gives it, overflow in R_inf included, so one
 loop gives the codes and steps of plain iteration.  The slice is cut
-into chunks of interleaved whole rows, classified independently by a
-pool of workers into disjoint output rows, so grids and emitted bytes
-are identical for any worker count.  Where row h - 1 - j of the slice
-holds the conjugate centres of row j (_own_mirror), only the rows j <=
-h - 1 - j are classified and their classes are copied into the mirror
-rows (render_slice has the proof).  That needs a v axis antisymmetric
-bit for bit, which holds at some heights only: on a z-plane slice of a
+into contiguous blocks of whole rows (_row_chunks), the blocks the CSV
+dump writes, classified independently by a pool of workers into
+disjoint output rows, so grids and emitted bytes are identical for any
+worker count.  Where row h - 1 - j of the slice holds the conjugate
+centres of row j (_own_mirror), only the rows j <= h - 1 - j are
+classified and their classes are copied into the mirror rows
+(render_slice has the proof).  That needs a v axis antisymmetric bit
+for bit, which holds at some heights only: on a z-plane slice of a
 real w over (-5, 5), at 256, 512 or 1,024 rows, not at 500 or 1,000.
 """
 
@@ -42,10 +43,10 @@ _CODE_TO_TAG = {
     _CODE_OVERFLOWED: "overflowed",
 }
 
-# Pixels per chunk of work, rounded down to whole rows; the CSV dump
-# writes blocks of the same size.  It bounds a worker's memory, whatever
-# the image size.  While a step runs on a whole chunk, a worker holds about
-# 96 bytes per pixel with a shared w: z and d, the step's z + w,
+# Pixels per chunk of work, rounded down to whole rows (_row_chunks);
+# the CSV dump writes the same blocks.  It bounds a worker's memory,
+# whatever the image size.  While a step runs on a whole chunk, a worker
+# holds about 96 bytes per pixel with a shared w: z and d, the step's z + w,
 # e^{-(z+w)} and image of d, 16 bytes each, the index, step and code of
 # each pixel, 13 bytes, and masks.  One w per pixel adds w, e^{-2w} and
 # the image of w and frees z + w first: about 128 bytes per pixel.  That
@@ -127,13 +128,12 @@ def _centres(spec: SliceSpec, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray,
 
 
 def _row_chunks(height: int, width: int) -> list[np.ndarray]:
-    """Rows of the chunks of the rows 0..height - 1 of a slice of the given
-    width.  Chunk c of n takes every n-th row from row c, so each chunk
-    samples the whole slice and the chunks take about the same time;
-    contiguous bands of rows can differ in cost by 2x and leave one worker
-    classifying alone at the end."""
-    n = -(-height // max(1, CHUNK_PIXELS // width))
-    return [np.arange(c, height, n) for c in range(n)]
+    """The rows 0..height - 1 of a slice of the given width, cut into
+    consecutive blocks of at most CHUNK_PIXELS pixels of whole rows (one
+    row where a row holds more): the classifier's chunks and the CSV
+    dump's blocks."""
+    block = max(1, CHUNK_PIXELS // width)
+    return [np.arange(lo, min(lo + block, height)) for lo in range(0, height, block)]
 
 
 def _own_mirror(spec: SliceSpec) -> bool:
@@ -574,18 +574,15 @@ def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
     """CSV dump, one line per pixel, row by row:
     i,j,re_z,im_z,re_w,im_w,tag,step, with the pixel centre's parts
     written by repr and step empty where none applies, as an iterator of
-    bytes: the header line, then the lines of each block of about
-    CHUNK_PIXELS pixels of whole rows.  Each distinct float bit pattern is
-    formatted with repr once per block, and each distinct (tag, step) pair
-    once.  Each block is written by _block, from one row template.
-    Writing the blocks to a file as they come never holds the whole
-    dump."""
+    bytes: the header line, then the lines of each block of rows of
+    _row_chunks, the classifier's chunks.  Each distinct float bit
+    pattern is formatted with repr once per block, and each distinct
+    (tag, step) pair once.  Each block is written by _block, from one row
+    template.  Writing the blocks to a file as they come never holds the
+    whole dump."""
     yield b"i,j,re_z,im_z,re_w,im_w,tag,step\n"
-    width = r.spec.width
-    columns = [b"%d," % i for i in range(width)]
-    block = max(1, CHUNK_PIXELS // width)
-    for lo in range(0, r.spec.height, block):
-        rows = np.arange(lo, min(lo + block, r.spec.height))
+    columns = [b"%d," % i for i in range(r.spec.width)]
+    for rows in _row_chunks(r.spec.height, r.spec.width):
         z, w = _pixel_grid(r.spec, rows)
         bits = [x.view(np.uint64) for x in (z.real, z.imag, w.real, w.imag)]
         keys = 4 * r.steps[rows].astype(np.int64) + r.codes[rows]

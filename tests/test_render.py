@@ -501,6 +501,36 @@ class TestCsv:
         assert len(pixel_fields) == 7 * (4 - TAIL_START.get(name, 4))
         assert b"".join(blocks) == reference_grid_csv(r)
 
+    @pytest.mark.parametrize("height, width, chunk",
+                             [(37, 64, 320), (32, 48, 247), (5, 7, 14), (3, 100, 50)])
+    def test_row_chunks_are_consecutive_blocks(self, height, width, chunk, monkeypatch):
+        monkeypatch.setattr(render, "CHUNK_PIXELS", chunk)
+        blocks = render._row_chunks(height, width)
+        # in order, they cover the rows 0..height - 1 exactly once
+        assert np.array_equal(np.concatenate(blocks), np.arange(height))
+        for rows in blocks:
+            assert np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size))
+            assert rows.size * width <= chunk or rows.size == 1
+
+    def test_dump_blocks_are_the_classifier_chunks(self, monkeypatch):
+        monkeypatch.setattr(render, "CHUNK_PIXELS", 5 * 48 + 7)
+        calls = []
+
+        def spy(spec, rows):
+            calls.append(rows.tolist())
+            return pixel_grid(spec, rows)
+
+        pixel_grid = render._pixel_grid
+        monkeypatch.setattr(render, "_pixel_grid", spy)
+        spec = SliceSpec(*CSV_SLICES["oblique"], u_range=(-5.0, 5.0),
+                         v_range=(-5.0, 5.0), width=48, height=32)
+        assert not render._own_mirror(spec)
+        r = render_slice(spec, 20, workers=1)
+        classified = calls.copy()
+        calls.clear()
+        list(grid_csv_blocks(r))
+        assert len(calls) == 7 and calls == classified
+
     def test_full_size_default_dump_is_pinned(self):
         # 512^2 x 200 over (-5, 5)^2, the render-dump workload of bench/
         spec = SliceSpec(*CSV_SLICES["default"], u_range=(-5.0, 5.0),
