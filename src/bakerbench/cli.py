@@ -3,11 +3,10 @@
 Subcommands: iterate, verify, witness, render, psh.  Every run is
 deterministic given its flags (plus --seed for sampled suites).  Exit
 codes: 0 success, 2 usage error (an output file that cannot be written,
-two outputs that name one file, a slice with a non-finite pixel centre
-and a branch index beyond 2**53 included), 3 verification failure, 4
-numeric failure (solver non-convergence, fatal overflow, too few usable
-samples, running out of memory, or any other ValueError from the
-computation).
+two outputs that name one file and a branch index beyond 2**53
+included), 3 verification failure, 4 numeric failure (solver
+non-convergence, fatal overflow, too few usable samples, running out of
+memory, or any other ValueError from the computation).
 
 Values may also come from a JSON config file (--config), whose entries
 are parsed as flags written before the explicit ones, so explicit flags

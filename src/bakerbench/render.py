@@ -14,11 +14,10 @@ into contiguous blocks of whole rows (_row_chunks), the blocks the CSV
 dump writes, classified independently by a pool of workers into
 disjoint output rows, so grids and emitted bytes are identical for any
 worker count.  Where row h - 1 - j of the slice holds the conjugate
-centres of row j (_own_mirror), only the rows j <= h - 1 - j are
-classified and their classes are copied into the mirror rows
-(render_slice has the proof).  That needs a v axis antisymmetric bit
-for bit, which holds at some heights only: on a z-plane slice of a
-real w over (-5, 5), at 256, 512 or 1,024 rows, not at 500 or 1,000.
+centres of row j (_own_mirror), as on a z-plane slice of a real w over
+a window symmetric about the real axis at every height, only the rows
+j <= h - 1 - j are classified and their classes are copied into the
+mirror rows (render_slice has the proof).
 """
 
 from __future__ import annotations
@@ -103,25 +102,21 @@ class SliceSpec:
 
 
 def _axis(bounds: tuple[float, float], n: int, i: np.ndarray) -> np.ndarray:
-    """Centres lo + (i + 0.5)(hi - lo)/n of the pixels i of an axis of n
-    pixels over bounds = (lo, hi).  Where the product (i + 0.5)(hi - lo)
-    overflows though the centre need not, it is formed at 2^-64 scale and
-    scaled back after the division; scaling by a power of two is exact, so
-    every other centre keeps the bits of the plain formula."""
+    """Centres m + (2i - (n - 1))/n (hi/2 - lo/2), m = lo/2 + hi/2, of the
+    pixels i of an axis of n pixels over bounds = (lo, hi): finite for
+    finite bounds, and antisymmetric bit for bit where lo = -hi
+    (render_slice)."""
     lo, hi = bounds
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = (i + 0.5) * (hi - lo)
-        scaled = (i + 0.5) * ((hi - lo) * 2.0**-64) / n * 2.0**64
-        return lo + np.where(np.isinf(t), scaled, t / n)
+    return (lo / 2 + hi / 2) + (2.0 * i - (n - 1)) / n * (hi / 2 - lo / 2)
 
 
 def _centres(spec: SliceSpec, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centres (z, w) of the pixels at columns i and rows j, broadcast
     together, as complex128 arrays; non-finite where the slice leaves
     double range."""
-    u = _axis(spec.u_range, spec.width, i)
-    v = _axis(spec.v_range, spec.height, j)
     with np.errstate(over="ignore", invalid="ignore"):
+        u = _axis(spec.u_range, spec.width, i)
+        v = _axis(spec.v_range, spec.height, j)
         z = spec.base.z + u * spec.dir_u.z + v * spec.dir_v.z
         w = spec.base.w + u * spec.dir_u.w + v * spec.dir_v.w
     return z.astype(np.complex128), w.astype(np.complex128)
@@ -139,13 +134,11 @@ def _row_chunks(height: int, width: int) -> list[np.ndarray]:
 def _own_mirror(spec: SliceSpec) -> bool:
     """Whether row h - 1 - j of the slice holds the conjugates of the
     centres of row j, for every row j, up to the signs of zero parts:
-    where the v axis is antisymmetric under ==, base and dir_u have zero
-    imaginary parts and dir_v zero real parts (render_slice).  Decided on
-    the axis and the parts, never on the pixel grid."""
-    v = _axis(spec.v_range, spec.height, np.arange(spec.height))
-    return (all(p.imag == 0 for p in (spec.base.z, spec.base.w, spec.dir_u.z, spec.dir_u.w))
-            and all(p.real == 0 for p in (spec.dir_v.z, spec.dir_v.w))
-            and bool((v == -v[::-1]).all()))
+    where v_range = (-b, b), base and dir_u have zero imaginary parts and
+    dir_v zero real parts (render_slice).  It reads no centre."""
+    return (spec.v_range[0] == -spec.v_range[1]
+            and all(p.imag == 0 for p in (spec.base.z, spec.base.w, spec.dir_u.z, spec.dir_u.w))
+            and all(p.real == 0 for p in (spec.dir_v.z, spec.dir_v.w)))
 
 
 def _pixel_grid(spec: SliceSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,6 +380,9 @@ def render_slice(
     h - 1 - j are classified, in chunks of their own, and their codes and
     steps are copied into the rows h - 1 - j.  Pixel (i, h - 1 - j) has
     the class of pixel (i, j):
+    - With v_range = (-b, b), _axis's m is +0 and (2j - (h - 1))/h negates
+      exactly under j -> h - 1 - j below 2^53 rows (no taller grid fits in
+      memory), so v changes sign exactly, as a product rounds symmetrically.
     - _centres forms z = base.z + u dir_u.z + v dir_v.z, and w alike, in
       complex arithmetic on u + 0j and v + 0j.  With Im base = Im dir_u =
       Re dir_v = 0, the real part is Re base + u Re dir_u and the

@@ -395,25 +395,19 @@ class TestExitCodes:
         assert runs[0][0] == "entered=0 overflowed=16 not_entered=0"
         assert runs[1] == runs[0]
 
-    def test_non_finite_pixel_centre_is_usage_error(self, no_render, tmp_path,
-                                                    monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert_usage_error(
-            ["render", "--width", "4", "--height", "2", "--budget", "3",
-             "--xmin=-1e308", "--xmax=1e308", "--csv-out", "g.csv"], capsys)
-        assert list(tmp_path.iterdir()) == []
-
     def test_window_past_an_overflowing_product_renders(self, tmp_path,
                                                       monkeypatch, capsys):
+        # xmax - xmin overflows at 1e308, and (i + 0.5)(xmax - xmin) at 8e307
         monkeypatch.chdir(tmp_path)
-        code, _, err = run_cli(
-            ["render", "--width", "4", "--height", "2", "--budget", "3",
-             "--xmin=-8e307", "--xmax=8e307", "--csv-out", "g.csv"], capsys)
-        assert (code, err) == (0, "")
-        rows = (tmp_path / "g.csv").read_text().splitlines()[1:]
-        assert ([float(r.split(",")[2]) for r in rows[:4]]
-                == pytest.approx([-6e307, -2e307, 2e307, 6e307], rel=1e-15))
-        assert all(math.isfinite(float(x)) for r in rows for x in r.split(",")[2:6])
+        for b, centres in [(8e307, [-6e307, -2e307, 2e307, 6e307]),
+                           (1e308, [-7.5e307, -2.5e307, 2.5e307, 7.5e307])]:
+            code, _, err = run_cli(
+                ["render", "--width", "4", "--height", "2", "--budget", "3",
+                 f"--xmin={-b}", f"--xmax={b}", "--csv-out", "g.csv"], capsys)
+            assert (code, err) == (0, "")
+            rows = (tmp_path / "g.csv").read_text().splitlines()[1:]
+            assert [float(r.split(",")[2]) for r in rows[:4]] == pytest.approx(centres, rel=1e-15)
+            assert all(math.isfinite(float(x)) for r in rows for x in r.split(",")[2:6])
 
     @pytest.mark.parametrize("argv", [
         ["--target", "1,0", "--count", "1", "--first-branch", "1" + "0" * 400],

@@ -122,6 +122,18 @@ BENCHMARK_SLICES = {
 }
 
 
+def classifies_as_plain_iteration(spec, budget, classified, rows):
+    """Renders the slice, checks that it classified the given number of rows
+    and that its codes and steps are those of plain iteration, and returns
+    the render."""
+    r = render_slice(spec, budget, workers=2)
+    assert sum(classified) == rows * spec.width
+    codes, steps = reference(spec, budget)
+    assert np.array_equal(r.codes, codes)
+    assert np.array_equal(r.steps, steps)
+    return r
+
+
 class TestMirroredPath:
     @pytest.mark.parametrize("name", BENCHMARK_SLICES)
     def test_benchmark_slices_classify_half_their_pixels(self, name, classified):
@@ -152,6 +164,18 @@ class TestMirroredPath:
         assert np.array_equal(mirrored.steps, every_row.steps)
         if spec.base.w != 4:
             assert mirrored.fast_forwarded > 0 and mirrored.certified_entries > 0
+
+    # Over (-5, 5) the v axis mirrors at every height: at 63 rows the middle
+    # row is real and classified alone, and 500 rows classify 250.
+    @pytest.mark.parametrize("budget", [200, 1000])
+    def test_odd_height_classifies_half_and_the_middle_row(self, budget, classified):
+        classifies_as_plain_iteration(z_plane(0.2 + 0j, height=63), budget, classified, 32)
+
+    def test_500_rows_classify_250(self, classified):
+        spec = z_plane(0.2 + 0j, height=500, width=512)
+        r = classifies_as_plain_iteration(spec, 200, classified, 250)
+        # the counters of classifying every row
+        assert (r.fast_forwarded, r.certified_entries, r.map_evals) == (22790, 81674, 687528)
 
     # -0 parts leave the slice its own mirror: its centres and their
     # conjugates differ in the signs of zero parts only, which no test reads.
@@ -186,30 +210,13 @@ NOT_MIRRORS = {
 }
 
 
-def classifies_every_row_as_plain_iteration(spec, budget, classified):
-    r = render_slice(spec, budget, workers=2)
-    assert sum(classified) == spec.height * spec.width
-    codes, steps = reference(spec, budget)
-    assert np.array_equal(r.codes, codes)
-    assert np.array_equal(r.steps, steps)
-    return codes
-
-
 class TestNotMirrored:
     @pytest.mark.parametrize("budget", [200, 1000])
     @pytest.mark.parametrize("name", NOT_MIRRORS)
     def test_every_row_classified_as_plain_iteration(self, name, budget, classified):
-        codes = classifies_every_row_as_plain_iteration(NOT_MIRRORS[name], budget, classified)
+        spec = NOT_MIRRORS[name]
+        codes = classifies_as_plain_iteration(spec, budget, classified, spec.height).codes
         assert not np.array_equal(codes, codes[::-1])
-
-    @pytest.mark.parametrize("budget", [200, 1000])
-    def test_odd_height_off_the_bits_of_an_antisymmetric_axis(self, budget, classified):
-        # 63 rows over (-5, 5): v_j = -v_{62-j} up to rounding only, so the
-        # codes are symmetric, but the centres are not conjugate bit for bit.
-        v = render._axis(WINDOW, 63, np.arange(63))
-        assert not (v == -v[::-1]).all()
-        classifies_every_row_as_plain_iteration(z_plane(0.2 + 0j, height=63), budget,
-                                                classified)
 
 
 PI = math.pi

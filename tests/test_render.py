@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from bakerbench.render import (
     render_slice,
     write_ppm,
 )
+
+DBL_MAX = sys.float_info.max
 
 
 def single_pixel_spec(z, w):
@@ -97,9 +100,9 @@ def wedge_slice(width=4, height=4):
 
 class TestSliceSpec:
     @pytest.mark.parametrize("dir_u, u_range", [
-        (PlanePoint(1 + 0j, 0j), (-1e308, 1e308)),  # u1 - u0 overflows
         (PlanePoint(1e300 + 0j, 0j), (-1e10, 1e10)),  # u * dir_u overflows
         (PlanePoint(0j, 2.2e300j), (0.0, 1e8)),  # in w, in the last column only
+        (PlanePoint(2.2e300 + 0j, 0j), (-1e8, 0.0)),  # in z, in the first column only
     ])
     def test_non_finite_pixel_centre_rejected(self, dir_u, u_range):
         with pytest.raises(ValueError, match="non-finite centre"):
@@ -148,25 +151,30 @@ class TestSliceSpec:
         assert z[0].real.tolist() == pytest.approx([-6e307, -2e307, 2e307, 6e307], rel=1e-15)
         assert spec.pixel_center(3, 1) == PlanePoint(complex(z[1, 3]), complex(w[1, 3]))
 
-    @pytest.mark.parametrize("u_range", [
-        (-5.3, 4.1),
-        (0.0, 3e-310),  # a span that a 2^-64 scale would flush to zero
-    ])
-    def test_centres_keep_the_bits_of_the_plain_formula(self, u_range):
-        (u0, u1), (v0, v1) = u_range, (-2.7, 3.9)
-        spec = SliceSpec(base=PlanePoint(0j, 4 + 0j),
-                         dir_u=PlanePoint(1 + 0.5j, 0.125 + 0j),
-                         dir_v=PlanePoint(1j, -0.75 + 0j), u_range=u_range,
-                         v_range=(v0, v1), width=7, height=5)
-        z, w = render._pixel_grid(spec, np.arange(5))
-        for j in range(5):
-            for i in range(7):
-                u = u0 + (i + 0.5) * (u1 - u0) / 7
-                v = v0 + (j + 0.5) * (v1 - v0) / 5
-                assert z[j, i] == spec.base.z + u * spec.dir_u.z + v * spec.dir_v.z
-                assert w[j, i] == spec.base.w + u * spec.dir_u.w + v * spec.dir_v.w
-                assert spec.pixel_center(i, j) == PlanePoint(complex(z[j, i]),
-                                                             complex(w[j, i]))
+    @pytest.mark.parametrize("hi", [5.0, 2.0, 3.0, 1.5, 0.7])
+    def test_axis_antisymmetric_at_every_height(self, hi):
+        for n in range(1, 2049):
+            v = render._axis((-hi, hi), n, np.arange(n))
+            assert (v == -v[::-1]).all(), n
+
+    @pytest.mark.parametrize("n", [5, 7, 1080])
+    @pytest.mark.parametrize("u_range", [(-5.3, 4.1), (0.0, 3e-310), (-DBL_MAX, DBL_MAX)],
+                             ids=["(-5.3, 4.1)", "(0, 3e-310)", "(-DBL_MAX, DBL_MAX)"])
+    def test_centres_within_two_units_of_exact(self, u_range, n):
+        # m + (2i - (n - 1)) ((hi/2 - lo/2)/n) is 3.45 units off at (0, 3e-310), n = 7
+        spec = SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=PlanePoint(1 + 0j, 0j),
+                         dir_v=PlanePoint(1j, 0j), u_range=u_range,
+                         v_range=(-1.0, 1.0), width=n, height=1)
+        z, _ = render._pixel_grid(spec, np.arange(1))
+        lo, hi = map(Fraction, u_range)
+        unit = max(abs(lo), abs(hi)) / 2**52 + Fraction(1, 2**1074)
+        for i, u in enumerate(z[0].real.tolist()):
+            assert abs(Fraction(u) - (lo + (2 * i + 1) * (hi - lo) / (2 * n))) <= 2 * unit, i
+
+    def test_centres_at_512_keep_the_bits_of_the_plain_formula(self):
+        # bench/checks.py:pixel_center forms the centres this way
+        i = np.arange(512)
+        assert np.array_equal(render._axis((-5.0, 5.0), 512, i), -5.0 + (i + 0.5) * 10.0 / 512)
 
 
 class TestRenderSlice:
