@@ -43,6 +43,9 @@ EXIT_NUMERIC = 4
 # index as a float, which holds every integer up to 2**53 exactly.
 MAX_BRANCH = 2**53
 
+# Where render writes the PPM without --out; its report goes to stdout.
+DEFAULT_PPM = Path("basin.ppm")
+
 
 class UsageError(Exception):
     pass
@@ -78,7 +81,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
     sub = ap.add_subparsers(dest="command", required=True)
     options: dict[str, dict[str, str]] = {}
 
-    def command(name: str, help: str, handler):
+    def command(name: str, help: str, handler, out_help: str = "output path (default stdout)"):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
         flags = options[name] = {}
@@ -87,7 +90,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
             flags[p.add_argument(flag, **kwargs).dest] = flag
 
         add("--config", type=Path, help="JSON config file; flags win")
-        add("--out", type=Path, help="output path (default stdout)")
+        add("--out", type=Path, help=out_help)
         add("--format", choices=["text", "tree"], default="text")
         return add
 
@@ -107,7 +110,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, str]]]:
     add("--count", type=int, required=True)
     add("--first-branch", type=int, default=DEFAULT_FIRST_BRANCH)
 
-    add = command("render", "render a basin slice to PPM/CSV", cmd_render)
+    add = command("render", "render a basin slice to PPM/CSV", cmd_render,
+                  out_help=f"PPM output path (default {DEFAULT_PPM})")
     add("--w-fixed", type=parse_complex, default=complex(4, 0), metavar="RE,IM")
     add("--xmin", type=finite_float, default=-5.0)
     add("--xmax", type=finite_float, default=5.0)
@@ -314,7 +318,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    out = args.out if args.out is not None else Path("basin.ppm")
+    out = args.out if args.out is not None else DEFAULT_PPM
     _check_output(out)
     # realpath, unlike Path.resolve, raises nothing on a symlink loop.
     if (args.csv_out is not None

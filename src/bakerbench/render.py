@@ -10,14 +10,16 @@ seed leaves the active set early once the far-field certificate
 (``_certify``, on the lemma of ``domain.in_far_field``) settles the
 class that plain iteration gives it, overflow in R_inf included, so one
 loop gives the codes and steps of plain iteration.  The slice is cut
-into contiguous blocks of whole rows (_row_chunks), the blocks the CSV
-dump writes, classified independently by a pool of workers into
-disjoint output rows, so grids and emitted bytes are identical for any
-worker count.  Where row h - 1 - j of the slice holds the conjugate
-centres of row j (_own_mirror), as on a z-plane slice of a real w over
-a window symmetric about the real axis at every height, only the rows
-j <= h - 1 - j are classified and their classes are copied into the
-mirror rows (render_slice has the proof).
+into contiguous blocks of whole rows (_row_chunks), classified
+independently by a pool of workers into disjoint output rows, so grids
+and emitted bytes are identical for any worker count.  Where row
+h - 1 - j of the slice holds the conjugate centres of row j
+(_own_mirror), as on a z-plane slice of a real w over a window
+symmetric about the real axis at every height, only the rows
+j <= h - 1 - j are classified, in the blocks of _row_chunks(h // 2,
+width) and the middle row, and their classes are copied into the
+mirror rows (render_slice has the proof).  The CSV dump writes the
+blocks of _row_chunks(h, width), the classifier's on other slices.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ _CODE_TO_TAG = {
     _CODE_OVERFLOWED: "overflowed",
 }
 
-# Pixels per chunk of work, rounded down to whole rows (_row_chunks);
-# the CSV dump writes the same blocks.  It bounds a worker's memory,
+# Pixels per chunk of work and per block of the CSV dump, rounded down
+# to whole rows (_row_chunks).  It bounds a worker's memory,
 # whatever the image size.  While a step runs on a whole chunk, a worker
 # holds about 96 bytes per pixel with a shared w: z and d, the step's z + w,
 # e^{-(z+w)} and image of d, 16 bytes each, the index, step and code of
@@ -125,8 +127,8 @@ def _centres(spec: SliceSpec, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray,
 def _row_chunks(height: int, width: int) -> list[np.ndarray]:
     """The rows 0..height - 1 of a slice of the given width, cut into
     consecutive blocks of at most CHUNK_PIXELS pixels of whole rows (one
-    row where a row holds more): the classifier's chunks and the CSV
-    dump's blocks."""
+    row where a row holds more): the CSV dump's blocks, and the
+    classifier's chunks of a slice that is not its own mirror."""
     block = max(1, CHUNK_PIXELS // width)
     return [np.arange(lo, min(lo + block, height)) for lo in range(0, height, block)]
 
@@ -484,74 +486,50 @@ class PaletteSpec:
 
 def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     """Binary P6 pixmap, row-major top-to-bottom, byte-exact for fixed input."""
-    ent, ovf = len(palette.entered_cycle), len(palette.overflowed_cycle)
-    lut = np.array([palette.not_entered, *palette.entered_cycle,
-                    *palette.overflowed_cycle], dtype=np.uint8)
-    # The colour of each (code, step) pair, steps -1..n - 2, as one RGB0
-    # word; n follows the steps, not the budget.  A pixel is one gather at
-    # codes * n + steps + 1, an int32 key wherever 3n fits, with its fourth
-    # byte dropped.
-    n = int(r.steps.max()) + 2
-    s = np.arange(-1, n - 1)
-    colour = np.empty((len(_CODE_TO_TAG), n), dtype=np.intp)
-    colour[_CODE_NOT_ENTERED] = 0
-    colour[_CODE_ENTERED] = 1 + s % ent
-    colour[_CODE_OVERFLOWED] = 1 + ent + s % ovf
-    rgb0 = np.zeros((*colour.shape, 4), dtype=np.uint8)
-    rgb0[..., :3] = lut[colour]
-    key = (r.steps if 3 * n < 2**31 else r.steps.astype(np.intp)) + 1
-    key += r.codes * key.dtype.type(n)
-    words = rgb0.view(np.uint32).ravel()[key]
-    rgb = np.empty((*words.shape, 3), dtype=np.uint8)
-    rgb[...] = words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
+    # Each (code, step) pair's colour as one 3-byte item at [code, step + 1],
+    # over the steps -1..max of the raster, not the budget: a pixel is one gather.
+    s = np.arange(-1, int(r.steps.max()) + 1)
+    cycles = {_CODE_NOT_ENTERED: [palette.not_entered], _CODE_ENTERED: palette.entered_cycle,
+              _CODE_OVERFLOWED: palette.overflowed_cycle}
+    table = np.stack([np.array(c, np.uint8).view("V3")[s % len(c), 0]
+                      for _, c in sorted(cycles.items())])
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
-    return header + rgb.tobytes()
+    return header + table[r.codes, r.steps + 1].tobytes()
 
 
-def _lookup(keys: np.ndarray, fmt) -> list:
-    """The bytes of each key of keys, as nested lists of keys' shape.
-    fmt maps the sorted distinct keys to their bytes, so each is
-    formatted once."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return np.array(fmt(distinct), dtype=object)[inverse.reshape(keys.shape)].tolist()
+def _lookup(bits: np.ndarray) -> list:
+    """The field b"%r," of each float, given as its bit pattern, as nested
+    lists of bits' shape.  Each distinct bit pattern is formatted once, so
+    -0.0 and 0.0 keep their own reprs."""
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    fields = [b"%r," % v for v in distinct.view(np.float64).tolist()]
+    return np.array(fields, dtype=object)[inverse.reshape(bits.shape)].tolist()
 
 
-def _float_field(bits: np.ndarray) -> list[bytes]:
-    # Keyed by bit pattern, so -0.0 and 0.0 keep their own reprs.
-    return [b"%r," % v for v in bits.view(np.float64).tolist()]
-
-
-def _class_field(keys: np.ndarray) -> list[bytes]:
-    # key = 4 * step + code (codes are below 4), step -1 where none applies.
-    return [f"{_CODE_TO_TAG[k % 4]},{'' if k % 4 == _CODE_NOT_ENTERED else k // 4}\n".encode()
-            for k in keys.tolist()]
-
-
-def _block(rows: np.ndarray, bits: list[np.ndarray], keys: np.ndarray,
+def _block(rows: np.ndarray, bits: list[np.ndarray], tail: list,
            columns: list[bytes]) -> bytes:
     """The lines of a block, its float fields given as bit patterns in
-    (rows, width) arrays.  Each distinct value of a field is formatted
-    once.  The float fields before the first that depends on both the
-    column and the row, compared bitwise, go into one row template: as
-    literals where they depend on the column only, as markers where on
-    the row only.  That field, the fields after it and (tag, step) form
-    the tail, joined per pixel (on a slice along the coordinate axes,
-    only (tag, step)).  Each row fills in j and its row-only fields, then
-    its tail with one %."""
+    (rows, width) arrays and its tag,step fields as nested lists of bytes
+    in tail.  Each distinct value of a float field is formatted once.
+    The float fields before the first that depends on both the column and
+    the row, compared bitwise, go into one row template: as literals
+    where they depend on the column only, as markers where on the row
+    only.  That field and the fields after it join the tail per pixel (on
+    a slice along the coordinate axes, the tail is tag,step alone).  Each
+    row fills in j and its row-only fields, then its tail with one %."""
     width = len(columns)
     # Marker m of the template stands for the row's string m: j, then the
     # row-only fields.  No repr of a float holds a control character or %.
     literals = [columns, [b"\0"] * width]
     row_strings = [[b"%d," % j for j in rows.tolist()]]
-    tail = _lookup(keys, _class_field)
     for k, b in enumerate(bits):
         if (b == b[:1]).all():
-            literals.append(_lookup(b[0], _float_field))
+            literals.append(_lookup(b[0]))
         elif (b == b[:, :1]).all():
             literals.append([bytes([len(row_strings)])] * width)
-            row_strings.append(_lookup(b[:, 0], _float_field))
+            row_strings.append(_lookup(b[:, 0]))
         else:
-            fields = [_lookup(x, _float_field) for x in bits[k:]] + [tail]
+            fields = [_lookup(x) for x in bits[k:]] + [tail]
             tail = [list(map(b"".join, zip(*row))) for row in zip(*fields)]
             break
     literals.append([b"%s"] * width)
@@ -571,15 +549,20 @@ def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
     i,j,re_z,im_z,re_w,im_w,tag,step, with the pixel centre's parts
     written by repr and step empty where none applies, as an iterator of
     bytes: the header line, then the lines of each block of rows of
-    _row_chunks, the classifier's chunks.  Each distinct float bit
-    pattern is formatted with repr once per block, and each distinct
-    (tag, step) pair once.  Each block is written by _block, from one row
-    template.  Writing the blocks to a file as they come never holds the
-    whole dump."""
+    _row_chunks(height, width), the classifier's chunks on a slice that
+    is not its own mirror.  Each distinct float bit pattern is formatted
+    with repr once per block, and each tag,step field once per dump, in a
+    table that a pixel indexes at [code, step + 1], as write_ppm's
+    colours.  Each block is written by _block, from one row template.
+    Writing the blocks to a file as they come never holds the whole
+    dump."""
     yield b"i,j,re_z,im_z,re_w,im_w,tag,step\n"
     columns = [b"%d," % i for i in range(r.spec.width)]
+    s = range(-1, int(r.steps.max()) + 1)
+    table = np.array([[f"{tag},{'' if code == _CODE_NOT_ENTERED else k}\n".encode() for k in s]
+                      for code, tag in sorted(_CODE_TO_TAG.items())], dtype=object)
     for rows in _row_chunks(r.spec.height, r.spec.width):
         z, w = _pixel_grid(r.spec, rows)
         bits = [x.view(np.uint64) for x in (z.real, z.imag, w.real, w.imag)]
-        keys = 4 * r.steps[rows].astype(np.int64) + r.codes[rows]
-        yield _block(rows, bits, keys, columns)
+        tail = table[r.codes[rows], r.steps[rows] + 1].tolist()
+        yield _block(rows, bits, tail, columns)

@@ -2,8 +2,9 @@
 
 Each case runs ``bakerbench.cli.main`` in an empty directory and compares
 its exit code, its stdout and the sha256 of every file it leaves there
-with ``golden/cli.json``.  Running this file as a script rewrites that
-file from the code on the path:
+with ``golden/cli.json``.  The --help cases run with COLUMNS=80, as
+argparse wraps help to the terminal width.  Running this file as a
+script rewrites that file from the code on the path:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,6 +15,7 @@ import io
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -49,16 +51,20 @@ _COMMANDS = {
 }
 CASES = {f"{name}-{fmt}": argv + [f"--format={fmt}"]
          for name, argv in _COMMANDS.items() for fmt in ("text", "tree")}
+CASES["help"] = ["--help"]
+for _command in ("iterate", "verify", "witness", "render", "psh"):
+    CASES[f"{_command}-help"] = [_command, "--help"]
 
 
 def run_case(argv: list[str], cwd: Path) -> dict:
     """Exit code, stdout and the sha256 of each file written, of main(argv)
-    run in the directory cwd."""
+    run in the directory cwd with COLUMNS=80."""
     out = io.StringIO()
     home = os.getcwd()
     os.chdir(cwd)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()),
+              mock.patch.dict(os.environ, {"COLUMNS": "80"})):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejected argv

@@ -142,7 +142,8 @@ class TestSliceSpec:
         assert np.isfinite(z).all() and np.isfinite(w).all()
 
     def test_centres_past_an_overflowing_product_accepted(self):
-        # (i + 0.5)(u1 - u0) = 3.5 * 1.6e308 overflows, the centre does not
+        # hi - lo = 1.6e308 overflows; _axis forms hi/2 - lo/2 instead, and
+        # the centres stay finite
         spec = SliceSpec(base=PlanePoint(0j, 4 + 0j), dir_u=PlanePoint(1 + 0j, 0j),
                          dir_v=PlanePoint(1j, 0j), u_range=(-8e307, 8e307),
                          v_range=(-1.0, 1.0), width=4, height=2)
@@ -424,7 +425,8 @@ class TestPpm:
     @pytest.mark.parametrize("ent, ovf", [(1, 3), (3, 16), (16, 1)])
     def test_hand_built_raster_matches_per_pixel_formula(self, ent, ovf):
         # Every code with every step from -1 to past the budget, shuffled,
-        # against the colour index of each pixel computed on its own.
+        # against the colour index of each pixel computed on its own, and
+        # the CSV dump against the per-pixel reference writer.
         palette = PaletteSpec(
             not_entered=(1, 2, 3),
             entered_cycle=tuple((10 + k, 100, 0) for k in range(ent)),
@@ -443,11 +445,25 @@ class TestPpm:
         expected = b"P6\n9 9\n255\n" + lut[idx].tobytes()
         spec = SliceSpec(*CSV_SLICES["default"], u_range=(-1.0, 1.0),
                          v_range=(-1.0, 1.0), width=9, height=9)
-        for b in (budget, 10**12):  # the colour table follows the steps only
+        for b in (budget, 10**12):  # the (code, step) tables follow the steps only
             r = render.RasterResult(spec=spec, budget=b, threshold=1.0, codes=codes,
                                     steps=steps, fast_forwarded=0,
                                     certified_entries=0, map_evals=0)
             assert write_ppm(r, palette) == expected
+            assert b"".join(grid_csv_blocks(r)) == reference_grid_csv(r)
+
+    def test_peak_memory(self):
+        # Measured 1.88 MiB (numpy 2.4); the limit adds ~15%.  The peak
+        # counts steps + 1 and the gathered colours; RGB0 words with their
+        # 3-of-4-byte copy-out read 4.25 MiB.
+        r = render_slice(w_fixed_slice(0.2 + 0j, side=512), 200, workers=2)
+        tracemalloc.start()
+        try:
+            write_ppm(r, PaletteSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 2**20, peak / 2**20
 
     def test_palette_validation(self):
         with pytest.raises(ValueError):
@@ -484,10 +500,10 @@ def pixel_fields(monkeypatch):
     render._lookup on a (rows, width) array of bit patterns."""
     calls = []
 
-    def spy(keys, fmt):
-        if keys.ndim == 2 and keys.dtype == np.uint64:
-            calls.append(keys)
-        return lookup(keys, fmt)
+    def spy(bits):
+        if bits.ndim == 2:
+            calls.append(bits)
+        return lookup(bits)
 
     lookup = render._lookup
     monkeypatch.setattr(render, "_lookup", spy)
