@@ -35,14 +35,9 @@ from .core import PlanePoint, in_r_inf, margin, step
 from .domain import (FAR_MARGIN_STEP, FAR_MARGIN_STEP_MIN, L_THRESHOLD, in_far_field,
                      in_wedge)
 
-_CODE_NOT_ENTERED = 0
-_CODE_ENTERED = 1
-_CODE_OVERFLOWED = 2
-_CODE_TO_TAG = {
-    _CODE_NOT_ENTERED: "not_entered",
-    _CODE_ENTERED: "entered",
-    _CODE_OVERFLOWED: "overflowed",
-}
+# A pixel's class is a code, and _TAGS[code] is its tag.
+_CODE_NOT_ENTERED, _CODE_ENTERED, _CODE_OVERFLOWED = range(3)
+_TAGS = ("not_entered", "entered", "overflowed")
 
 # Pixels per chunk of work and per block of the CSV dump, rounded down
 # to whole rows (_row_chunks).  It bounds a worker's memory,
@@ -65,7 +60,7 @@ class PixelClass:
 
 
 def _pixel_class(code: int, step: int) -> PixelClass:
-    return PixelClass(_CODE_TO_TAG[code], step if code != _CODE_NOT_ENTERED else None)
+    return PixelClass(_TAGS[code], step if code != _CODE_NOT_ENTERED else None)
 
 
 @dataclass(frozen=True)
@@ -365,8 +360,8 @@ class RasterResult:
 
     @property
     def stats(self) -> dict[str, int]:
-        counts = np.bincount(self.codes.ravel(), minlength=len(_CODE_TO_TAG))
-        return {_CODE_TO_TAG[c]: int(counts[c])
+        counts = np.bincount(self.codes.ravel(), minlength=len(_TAGS))
+        return {_TAGS[c]: int(counts[c])
                 for c in (_CODE_ENTERED, _CODE_OVERFLOWED, _CODE_NOT_ENTERED)}
 
 
@@ -489,10 +484,8 @@ def write_ppm(r: RasterResult, palette: PaletteSpec) -> bytes:
     # Each (code, step) pair's colour as one 3-byte item at [code, step + 1],
     # over the steps -1..max of the raster, not the budget: a pixel is one gather.
     s = np.arange(-1, int(r.steps.max()) + 1)
-    cycles = {_CODE_NOT_ENTERED: [palette.not_entered], _CODE_ENTERED: palette.entered_cycle,
-              _CODE_OVERFLOWED: palette.overflowed_cycle}
-    table = np.stack([np.array(c, np.uint8).view("V3")[s % len(c), 0]
-                      for _, c in sorted(cycles.items())])
+    cycles = ([palette.not_entered], palette.entered_cycle, palette.overflowed_cycle)  # by code
+    table = np.stack([np.array(c, np.uint8).view("V3")[s % len(c), 0] for c in cycles])
     header = f"P6\n{r.spec.width} {r.spec.height}\n255\n".encode("ascii")
     return header + table[r.codes, r.steps + 1].tobytes()
 
@@ -560,7 +553,7 @@ def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
     columns = [b"%d," % i for i in range(r.spec.width)]
     s = range(-1, int(r.steps.max()) + 1)
     table = np.array([[f"{tag},{'' if code == _CODE_NOT_ENTERED else k}\n".encode() for k in s]
-                      for code, tag in sorted(_CODE_TO_TAG.items())], dtype=object)
+                      for code, tag in enumerate(_TAGS)], dtype=object)
     for rows in _row_chunks(r.spec.height, r.spec.width):
         z, w = _pixel_grid(r.spec, rows)
         bits = [x.view(np.uint64) for x in (z.real, z.imag, w.real, w.imag)]

@@ -24,6 +24,9 @@ TAU = 2.0 * math.pi
 # switch to the Taylor form of the removable singularity at 0.
 SERIES_CUTOFF = 1e-3
 SERIES_TERMS = 12
+# h(zeta) = sum_{k>=2} (-3)^k zeta^{k-1} / (4 k!), so h(0) = 0: the
+# coefficients of zeta^1..zeta^SERIES_TERMS, each rounded once (int / int).
+_SERIES = tuple((-3) ** k / (4 * math.factorial(k)) for k in range(2, 2 + SERIES_TERMS))
 
 DEFAULT_FIRST_BRANCH = 3
 
@@ -40,16 +43,9 @@ class SolverFailure(Exception):
 def h_eval(zeta: complex) -> complex:
     """Evaluate h, using the Taylor form near the removable singularity at 0."""
     if abs(zeta) < SERIES_CUTOFF:
-        # h(zeta) = sum_{k>=2} (-3)^k zeta^{k-1} / (4 k!), so h(0) = 0.
-        acc = 0.0 + 0.0j
-        power = zeta  # zeta^{k-1}
-        fact = 2.0  # k!
-        sign_pow = 9.0  # (-3)^k
-        for k in range(2, 2 + SERIES_TERMS):
-            acc += sign_pow / (4.0 * fact) * power
-            power *= zeta
-            sign_pow *= -3.0
-            fact *= k + 1
+        acc = 0j  # Horner's rule
+        for c in reversed(_SERIES):
+            acc = (acc + c) * zeta
         return acc
     return (safe_exp(-3 * zeta) + 3 * zeta - 1) / (4 * zeta)
 

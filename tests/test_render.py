@@ -425,8 +425,9 @@ class TestPpm:
     @pytest.mark.parametrize("ent, ovf", [(1, 3), (3, 16), (16, 1)])
     def test_hand_built_raster_matches_per_pixel_formula(self, ent, ovf):
         # Every code with every step from -1 to past the budget, shuffled,
-        # against the colour index of each pixel computed on its own, and
-        # the CSV dump against the per-pixel reference writer.
+        # against the colour index of each pixel computed on its own, the
+        # CSV dump against the per-pixel reference writer, and stats and
+        # pixel against the class of each pixel.
         palette = PaletteSpec(
             not_entered=(1, 2, 3),
             entered_cycle=tuple((10 + k, 100, 0) for k in range(ent)),
@@ -451,6 +452,16 @@ class TestPpm:
                                     certified_entries=0, map_evals=0)
             assert write_ppm(r, palette) == expected
             assert b"".join(grid_csv_blocks(r)) == reference_grid_csv(r)
+            assert list(r.stats.items()) == [
+                ("entered", 27), ("overflowed", 27), ("not_entered", 27)]
+            for j, i in np.ndindex(9, 9):
+                code, k = int(codes[j, i]), int(steps[j, i])
+                expected_class = {
+                    render._CODE_NOT_ENTERED: PixelClass("not_entered"),
+                    render._CODE_ENTERED: PixelClass("entered", k),
+                    render._CODE_OVERFLOWED: PixelClass("overflowed", k),
+                }[code]
+                assert r.pixel(i, j) == expected_class
 
     def test_peak_memory(self):
         # Measured 1.88 MiB (numpy 2.4); the limit adds ~15%.  The peak

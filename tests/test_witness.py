@@ -5,8 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from bakerbench import witness
+from bakerbench.cli import main
+from bakerbench.core import PlanePoint
 from bakerbench.witness import (
+    DEFAULT_FIRST_BRANCH,
     SERIES_CUTOFF,
+    ProjectiveDirection,
     SolverFailure,
     _solve_branch,
     branch_range,
@@ -47,6 +52,20 @@ class TestHEval:
             z = mp.mpc(zeta)
             exact = (mp.exp(-3 * z) + 3 * z - 1) / (4 * z)
             assert abs(h_eval(zeta) - complex(exact)) < 1e-12
+
+    def test_series_within_3e_16_of_600_bit_h(self):
+        # 16 moduli from 1e-60 to just below the cutoff, 32 directions each.
+        # The series branch uses only + and *, so the bound holds without libm.
+        zetas = [complex(r * cmath.exp(1j * TAU * k / 32))
+                 for r in np.geomspace(1e-60, SERIES_CUTOFF * (1 - 1e-12), 16)
+                 for k in range(32)]
+        worst = 0.0
+        with mp.workprec(600):
+            for zeta in zetas:
+                z = mp.mpc(zeta)
+                exact = (mp.exp(-3 * z) + 3 * z - 1) / (4 * z)
+                worst = max(worst, float(abs(h_eval(zeta) - exact) / abs(exact)))
+        assert worst < 3e-16, worst
 
 
 class TestIdentity:
@@ -133,6 +152,19 @@ class TestFindWitnesses:
                               (mp.lambertw(x, j) / 3 - 1 / a for j in (-k, -k - 1)))
                     assert err <= 1e-14, (c, k, zeta)
 
+    def test_root_whose_h_overflows_is_a_failed_branch(self, monkeypatch, capsys):
+        # No real input is known to give a root that passes _solve_branch
+        # and overflows h_eval; h(-300) needs e^900, so a stand-in gives one.
+        solve = witness._solve_branch
+        first = DEFAULT_FIRST_BRANCH
+        monkeypatch.setattr(witness, "_solve_branch",
+                            lambda a, k: -300 + 0j if k == first else solve(a, k))
+        seq = find_witnesses(1 + 0j, 2)
+        assert seq.failed_branches == (first,)
+        assert seq.branches == (first + 1, first + 2)
+        assert main(["witness", "--target", "1,0", "--count", "2"]) == 0
+        assert f"failed_branches={first}" in capsys.readouterr().out
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             find_witnesses(1 + 0j, 0)
@@ -199,6 +231,11 @@ class TestImageDirection:
 
         img = apply_f(PlanePoint(zeta, 2 * zeta))
         assert abs(img.z - (3 * zeta + 1)) < 1e-12
+
+    def test_degenerate_on_zero_image(self, monkeypatch):
+        # No real zeta is known to map to (0, 0); a stand-in for F gives it.
+        monkeypatch.setattr(witness, "apply_f", lambda p: PlanePoint(0j, 0j))
+        assert image_direction(1 + 0j) == ProjectiveDirection(0j, 0j, degenerate=True)
 
     def test_degenerate_on_overflow(self):
         d = image_direction(-300 + 0j)
