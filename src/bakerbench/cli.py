@@ -29,7 +29,6 @@ from . import __version__
 from .core import OverflowSignal, PlanePoint, orbit
 from .domain import L_THRESHOLD
 from .psh import InsufficientSamples, ProbeSpec, submean_check, u_value
-from .render import PaletteSpec, SliceSpec, grid_csv_blocks, render_slice, write_ppm
 from .suites import GENERATOR_NAME, SUITES
 from .witness import (DEFAULT_FIRST_BRANCH, SolverFailure, branch_range, find_witnesses,
                       image_direction)
@@ -174,7 +173,10 @@ def _check_output(path: Path | None) -> None:
 def _write(path: Path, chunks: Iterable[bytes]) -> None:
     """Write the chunks to path as they come; failing to is a usage error."""
     try:
-        with path.open("wb") as f:
+        # The CSV dump comes a row at a time (25 KB at 512 wide); the buffer
+        # gathers its rows into few writes.  A larger chunk, such as a PPM,
+        # is written directly.
+        with path.open("wb", buffering=1 << 18) as f:
             f.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from None
@@ -318,6 +320,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    # From the package, which loads render on first use and is where a
+    # caller replaces these names.
+    from . import PaletteSpec, SliceSpec, grid_csv_blocks, render_slice, write_ppm
     out = args.out if args.out is not None else DEFAULT_PPM
     _check_output(out)
     # realpath, unlike Path.resolve, raises nothing on a symlink loop.

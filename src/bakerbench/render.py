@@ -500,16 +500,17 @@ def _lookup(bits: np.ndarray) -> list:
 
 
 def _block(rows: np.ndarray, bits: list[np.ndarray], tail: list,
-           columns: list[bytes]) -> bytes:
-    """The lines of a block, its float fields given as bit patterns in
-    (rows, width) arrays and its tag,step fields as nested lists of bytes
-    in tail.  Each distinct value of a float field is formatted once.
-    The float fields before the first that depends on both the column and
-    the row, compared bitwise, go into one row template: as literals
-    where they depend on the column only, as markers where on the row
-    only.  That field and the fields after it join the tail per pixel (on
-    a slice along the coordinate axes, the tail is tag,step alone).  Each
-    row fills in j and its row-only fields, then its tail with one %."""
+           columns: list[bytes]) -> list[bytes]:
+    """The lines of a block, one item per row, its float fields given as
+    bit patterns in (rows, width) arrays and its tag,step fields as nested
+    lists of bytes in tail.  Each distinct value of a float field is
+    formatted once.  The float fields before the first that depends on
+    both the column and the row, compared bitwise, go into one row
+    template: as literals where they depend on the column only, as
+    markers where on the row only.  That field and the fields after it
+    join the tail per pixel (on a slice along the coordinate axes, the
+    tail is tag,step alone).  Each row fills in j and its row-only
+    fields, then its tail with one %."""
     width = len(columns)
     # Marker m of the template stands for the row's string m: j, then the
     # row-only fields.  No repr of a float holds a control character or %.
@@ -534,21 +535,22 @@ def _block(rows: np.ndarray, bits: list[np.ndarray], tail: list,
         for mark, strings in subs:
             line = line.replace(mark, strings[n])
         lines.append(line % tuple(cells))
-    return b"".join(lines)
+    return lines
 
 
 def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
     """CSV dump, one line per pixel, row by row:
     i,j,re_z,im_z,re_w,im_w,tag,step, with the pixel centre's parts
     written by repr and step empty where none applies, as an iterator of
-    bytes: the header line, then the lines of each block of rows of
+    bytes: the header line, then the lines of each row of the slice, one
+    item per row.  The rows are formed in the blocks of
     _row_chunks(height, width), the classifier's chunks on a slice that
     is not its own mirror.  Each distinct float bit pattern is formatted
     with repr once per block, and each tag,step field once per dump, in a
     table that a pixel indexes at [code, step + 1], as write_ppm's
     colours.  Each block is written by _block, from one row template.
-    Writing the blocks to a file as they come never holds the whole
-    dump."""
+    Writing the items to a file as they come never holds the whole dump,
+    nor a block joined into one bytes object."""
     yield b"i,j,re_z,im_z,re_w,im_w,tag,step\n"
     columns = [b"%d," % i for i in range(r.spec.width)]
     s = range(-1, int(r.steps.max()) + 1)
@@ -558,4 +560,4 @@ def grid_csv_blocks(r: RasterResult) -> Iterator[bytes]:
         z, w = _pixel_grid(r.spec, rows)
         bits = [x.view(np.uint64) for x in (z.real, z.imag, w.real, w.imag)]
         tail = table[r.codes[rows], r.steps[rows] + 1].tolist()
-        yield _block(rows, bits, tail, columns)
+        yield from _block(rows, bits, tail, columns)

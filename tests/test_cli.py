@@ -36,7 +36,7 @@ def no_render(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("render_slice called")
 
-    monkeypatch.setattr(cli, "render_slice", fail)
+    monkeypatch.setattr(bakerbench, "render_slice", fail)
 
 
 class TestIterate:
@@ -201,7 +201,7 @@ class TestRender:
             rasters.append(render.render_slice(*args, **kwargs))
             return rasters[-1]
 
-        monkeypatch.setattr(cli, "render_slice", keep)
+        monkeypatch.setattr(bakerbench, "render_slice", keep)
         csv = tmp_path / "grid.csv"
         code, _, _ = run_cli(
             ["render", "--width", "48", "--height", "32", "--budget", "200",
@@ -267,7 +267,7 @@ class TestRender:
             rasters.append(render.render_slice(*args, **kwargs))
             return rasters[-1]
 
-        monkeypatch.setattr(cli, "render_slice", keep)
+        monkeypatch.setattr(bakerbench, "render_slice", keep)
         pal = tmp_path / "palette.json"
         pal.write_text(json.dumps({"overflowed_cycle": [[1, 2, 3], [4, 5, 6]]}))
         out = tmp_path / "img.ppm"
@@ -312,7 +312,7 @@ class TestOutputPaths:
             gone.rmdir()
             return render.render_slice(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "render_slice", render_then_remove)
+        monkeypatch.setattr(bakerbench, "render_slice", render_then_remove)
         assert_usage_error(
             ["render", "--width", "4", "--height", "4",
              "--out", str(tmp_path / "img.ppm"),
@@ -457,7 +457,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, patch", [
         (["render", "--width", "4", "--height", "4"],
-         lambda mp, fail: mp.setattr(cli, "render_slice", fail)),
+         lambda mp, fail: mp.setattr(bakerbench, "render_slice", fail)),
         (["verify", "--suite", "growth"],
          lambda mp, fail: mp.setitem(SUITES, "growth", fail)),
     ])

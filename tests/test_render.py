@@ -531,10 +531,10 @@ class TestCsv:
                          v_range=(-5.0, 5.0), width=48, height=32)
         r = render_slice(spec, 200)
         assert (r.stats["overflowed"] > 0) == (name in OVERFLOWING)
-        blocks = list(grid_csv_blocks(r))
-        assert len(blocks) == 1 + 7
+        items = list(grid_csv_blocks(r))
+        assert len(items) == 1 + 32  # the header, then one item per row
         assert len(pixel_fields) == 7 * (4 - TAIL_START.get(name, 4))
-        assert b"".join(blocks) == reference_grid_csv(r)
+        assert b"".join(items) == reference_grid_csv(r)
 
     @pytest.mark.parametrize("height, width, chunk",
                              [(37, 64, 320), (32, 48, 247), (5, 7, 14), (3, 100, 50)])
